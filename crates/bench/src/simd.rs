@@ -1,10 +1,10 @@
 //! Lane-batched vs serial compiled-kernel measurement (the
 //! `BENCH_simd.json` exhibit).
 //!
-//! The serial compiler runs one pixel per microprogram pass; the
-//! lane-batched backend ([`apim_compile::compile_batched`]) interleaves up
-//! to 64 pixels across the bitlines and runs them all in (almost) the same
-//! pass. Two families of numbers per kernel:
+//! The serial compiler runs one pixel per microprogram pass; the same
+//! gate-level machine at `L` lanes ([`apim_compile::compile_batched`])
+//! interleaves up to 64 pixels across the bitlines and runs them all in
+//! (almost) the same pass. Two families of numbers per kernel:
 //!
 //! * **Modeled cycles per instance** — the crossbar-charged cycle counts,
 //!   which are deterministic: `lanes × serial-pass cycles` vs one batched

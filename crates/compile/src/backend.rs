@@ -1,28 +1,62 @@
-//! Gate-level backend: executes a compiled DAG on simulated cells and
-//! verifies the captured microprogram.
+//! The gate-level machine: executes a compiled DAG on simulated cells,
+//! `lanes` independent instances per pass, and verifies the captured
+//! microprogram.
 //!
-//! The backend realizes each DAG node with the same primitive sequences
-//! the hand-written kernels use (`add_words`, `sub_words`,
-//! `reduce_rows_to_two_at`, the MAC's shared-NOT partial-product
-//! generator), placed per the [`Placement`]'s row map. Every execution
-//! runs with operation recording armed and finishes by replaying the
-//! trace through all five `apim-verify` hazard passes — including
-//! cycle-accounting against the closed-form cost this module accumulates
-//! node by node. A finding of error severity aborts the run with
-//! [`CompileError::VerificationFailed`].
+//! One machine serves both entry points. [`compile`] builds a one-lane
+//! program for a single input binding; [`compile_batched`] builds an
+//! `L`-lane program (`1 ≤ L ≤ 64`) that runs `L` bindings in one pass.
+//! Every value row uses the interleaved layout of [`apim_logic::lanes`]:
+//! logical column `c` of lane `j` sits at bitline `c · lanes + j`, which
+//! at one lane is the plain word layout. Column-parallel MAGIC NOR costs
+//! one cycle whatever its span, so each primitive — the serial adder
+//! netlist (`add_lanes`, `sub_lanes`), the shared-NOT partial-product
+//! generator, the Wallace reduction (`reduce_rows_to_two_lanes`), the
+//! two-NOT copies — covers every lane for the cost of one, and a batch
+//! costs (almost) what one instance costs.
+//!
+//! **Steering.** A program from [`compile`] follows one instance's data,
+//! so the sense amplifiers may steer its op stream. It takes that form at
+//! exactly four points:
+//!
+//! 1. inputs and constants are preloaded as one word store per row;
+//! 2. `Shr` reads the sign bit through the sense amp and writes it back
+//!    into each fill column (`2 + k` cycles);
+//! 3. every multiplier — constant ones too — is read through the sense
+//!    amps to place the partial products;
+//! 4. the §3.4 approximate final product (`relax_bits > 0`) runs its MAJ
+//!    carry chain through the sense amps.
+//!
+//! A [`compile_batched`] program, at any lane count, shares one op stream
+//! across its lanes, so nothing may depend on a sensed value: preloads are
+//! one store per bit position, the `Shr` sign fill stays in-array
+//! (`3 + k` cycles), multipliers must be compile-time constants and
+//! products must be exact. [`compile_batched`] rejects the last two with
+//! [`CompileError::BatchUnsupported`]. Within that class the recorded
+//! trace has the same shape in every lane, so the five hazard passes
+//! certify all lanes in one replay, and the symbolic equivalence check
+//! moves to lane `j` by re-aiming the output binding (`col0 = j`,
+//! `col_step = lanes`).
+//!
+//! Every execution runs with operation recording armed and finishes by
+//! replaying the trace through all five `apim-verify` hazard passes,
+//! including cycle accounting against the closed-form cost this module
+//! accumulates node by node. A finding of error severity aborts the run
+//! with [`CompileError::VerificationFailed`]. A machine invariant that
+//! fails at run time aborts it with [`CompileError::MachineCheck`].
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use apim_arch::isa::Trace;
 use apim_crossbar::{
-    AllocEvent, BlockId, BlockedCrossbar, CrossbarConfig, OpTrace, RowAllocator, RowRef,
+    AllocEvent, BlockId, BlockedCrossbar, CrossbarConfig, OpTrace, RowAllocator, RowRef, WORD_BITS,
 };
 use apim_device::Joules;
-use apim_logic::adder_serial::{add_words, add_words_with_carry, SerialScratch};
+use apim_logic::adder_serial::SerialScratch;
 use apim_logic::functional::partial_product_shifts;
-use apim_logic::subtractor::sub_words;
-use apim_logic::wallace::reduce_rows_to_two_at;
+use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
+use apim_logic::multiplier::{final_add, place_partial_products};
+use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::{CostModel, PrecisionMode};
 use apim_verify::{check_equiv, verify_trace, EquivReport, LintReport, OutputBinding};
 
@@ -36,7 +70,7 @@ use crate::plan::{
 };
 use crate::CompileError;
 
-/// Knobs for [`compile`].
+/// Knobs for [`compile`] and [`compile_batched`].
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Target crossbar geometry (and device parameters).
@@ -54,17 +88,21 @@ impl Default for CompileOptions {
     }
 }
 
-/// A DAG compiled against a concrete crossbar geometry.
+/// A DAG compiled against a concrete crossbar geometry, for one input
+/// binding per run.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    dag: Dag,
-    placement: Placement,
-    schedule: BlockSchedule,
-    trace: Trace,
-    model: CostModel,
+    core: Program,
 }
 
-/// Outcome of one gate-level execution of a compiled program.
+/// A DAG compiled for lane-batched execution: `lanes` input bindings per
+/// run.
+#[derive(Debug, Clone)]
+pub struct BatchCompiledProgram {
+    core: Program,
+}
+
+/// Outcome of one gate-level execution of a [`CompiledProgram`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// The value read back from the crossbar's result row.
@@ -84,6 +122,27 @@ pub struct RunReport {
     pub lint: LintReport,
 }
 
+/// Outcome of one lane-batched gate-level execution.
+#[derive(Debug, Clone)]
+pub struct BatchRunReport {
+    /// Per-lane values read back from the crossbar's result row.
+    pub values: Vec<u64>,
+    /// Per-lane pure-integer reference values; equal to `values` for a
+    /// correct compiler.
+    pub references: Vec<u64>,
+    /// Cycles charged by the simulated crossbar — for the whole batch, not
+    /// per instance.
+    pub cycles: u64,
+    /// The closed-form cycle prediction fed to the cycle-accounting pass.
+    pub expected_cycles: u64,
+    /// Energy charged by the simulated crossbar.
+    pub energy: Joules,
+    /// Number of recorded microprogram primitives.
+    pub trace_len: usize,
+    /// The full hazard report (clean for a correct compiler).
+    pub lint: LintReport,
+}
+
 /// Compiles `dag` for the geometry in `options`: math expansion,
 /// optimization, lowering, placement and block-pair scheduling.
 /// Gate-level execution is deferred to [`CompiledProgram::run`].
@@ -93,67 +152,144 @@ pub struct RunReport {
 /// [`CompileError::NoRoot`] without a designated output,
 /// [`CompileError::AreaExceeded`] when the program does not fit.
 pub fn compile(dag: &Dag, options: &CompileOptions) -> Result<CompiledProgram, CompileError> {
-    dag.root().ok_or(CompileError::NoRoot)?;
-    let mut dag = expand_math(dag);
-    if options.strength_reduce {
-        dag.strength_reduce_negated_constants();
-    }
-    let placement = place(&dag, &options.config)?;
-    let model = CostModel::new(&options.config.params);
-    let schedule = schedule(&dag, &placement, &model);
-    let trace = lower(&dag);
-    Ok(CompiledProgram {
-        dag,
-        placement,
-        schedule,
-        trace,
-        model,
-    })
+    let core = Program::build(dag, options, 1, true)?;
+    Ok(CompiledProgram { core })
 }
 
-impl CompiledProgram {
-    /// The (possibly strength-reduced) DAG this program executes.
-    pub fn dag(&self) -> &Dag {
-        &self.dag
+/// Compiles `dag` for lane-batched execution at `lanes` instances per
+/// pass: the [`compile`] pipeline plus the lane-uniformity check, against
+/// a geometry widened to `(width + 2) · lanes` bitlines when the
+/// configured crossbar is narrower.
+///
+/// # Errors
+///
+/// [`CompileError::BatchUnsupported`] for lane counts outside `1..=64` or
+/// DAG features that would need per-lane control flow; otherwise the same
+/// failures as [`compile`].
+pub fn compile_batched(
+    dag: &Dag,
+    options: &CompileOptions,
+    lanes: usize,
+) -> Result<BatchCompiledProgram, CompileError> {
+    if lanes == 0 || lanes > WORD_BITS {
+        return Err(CompileError::BatchUnsupported(format!(
+            "lane count {lanes} outside 1..={WORD_BITS}"
+        )));
+    }
+    let mut options = options.clone();
+    options.config.cols = options.config.cols.max((dag.width() as usize + 2) * lanes);
+    let core = Program::build(dag, &options, lanes, false)?;
+    Ok(BatchCompiledProgram { core })
+}
+
+/// Rejects DAG features whose microprogram shape would depend on lane
+/// data. Runs on the post-expansion, post-strength-reduction DAG — the one
+/// the machine actually executes.
+fn check_uniform(dag: &Dag) -> Result<(), CompileError> {
+    let approximate = |i: usize| {
+        CompileError::BatchUnsupported(format!(
+            "node {i}: approximate final product (per-bit carry reads are per-lane control)"
+        ))
+    };
+    for (i, node) in dag.nodes().iter().enumerate() {
+        match node {
+            Node::Mul { a, b, mode } => {
+                if mul_multiplier(dag, *a, *b, *mode).2.is_none() {
+                    return Err(CompileError::BatchUnsupported(format!(
+                        "node {i}: non-constant multiplier (partial-product placement \
+                         would differ per lane)"
+                    )));
+                }
+                if mode.relaxed_product_bits() > 0 {
+                    return Err(approximate(i));
+                }
+            }
+            Node::Mac { terms, mode } => {
+                if mode.relaxed_product_bits() > 0 {
+                    return Err(approximate(i));
+                }
+                if let Some(t) = terms
+                    .iter()
+                    .position(|&(_, b)| constant_of(dag, b).is_none())
+                {
+                    return Err(CompileError::BatchUnsupported(format!(
+                        "node {i}: MAC term {t} has a non-constant multiplier"
+                    )));
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The value of `id` when it is a constant node.
+fn constant_of(dag: &Dag, id: NodeId) -> Option<u64> {
+    match dag.nodes()[id.0] {
+        Node::Const { value } => Some(value),
+        _ => None,
+    }
+}
+
+/// The compiled form both program types view: the executed DAG, its
+/// placement, schedule and macro-op trace, and the machine shape.
+#[derive(Debug, Clone)]
+struct Program {
+    dag: Dag,
+    placement: Placement,
+    schedule: BlockSchedule,
+    trace: Trace,
+    model: CostModel,
+    lanes: usize,
+    /// Whether the sense amps may steer the op stream (the four one-lane
+    /// forms in the module docs); only [`compile`] programs set it.
+    steered: bool,
+}
+
+impl Program {
+    /// The shared pipeline: math expansion, strength reduction, the
+    /// lane-uniformity check (unsteered programs only), placement,
+    /// scheduling and lowering.
+    fn build(
+        dag: &Dag,
+        options: &CompileOptions,
+        lanes: usize,
+        steered: bool,
+    ) -> Result<Self, CompileError> {
+        dag.root().ok_or(CompileError::NoRoot)?;
+        let mut dag = expand_math(dag);
+        if options.strength_reduce {
+            dag.strength_reduce_negated_constants();
+        }
+        if !steered {
+            check_uniform(&dag)?;
+        }
+        let placement = place(&dag, &options.config)?;
+        let model = CostModel::new(&options.config.params);
+        let schedule = schedule(&dag, &placement, &model);
+        let trace = lower(&dag);
+        Ok(Program {
+            dag,
+            placement,
+            schedule,
+            trace,
+            model,
+            lanes,
+            steered,
+        })
     }
 
-    /// The row placement.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The block-pair list schedule.
-    pub fn schedule(&self) -> &BlockSchedule {
-        &self.schedule
-    }
-
-    /// The lowered controller macro-op trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The analytic cost model used for cycle bookkeeping.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Executes the program on simulated cells with the given input
-    /// bindings, then lints the recorded microprogram.
-    ///
-    /// # Errors
-    ///
-    /// Unbound inputs, crossbar faults, or —
-    /// [`CompileError::VerificationFailed`] — an error-severity hazard
-    /// finding (a compiler bug by definition).
-    pub fn run(&self, inputs: &HashMap<String, u64>) -> Result<RunReport, CompileError> {
+    /// Executes, then lints the recorded microprogram through all five
+    /// hazard passes; an error-severity finding fails the run.
+    fn run(&self, inputs: &[HashMap<String, u64>]) -> Result<BatchRunReport, CompileError> {
         let exec = self.execute(inputs)?;
         let lint = verify_trace(&exec.ops, &exec.events, Some(exec.expected_cycles));
         if lint.error_count() > 0 {
             return Err(CompileError::VerificationFailed(lint.to_string()));
         }
-        Ok(RunReport {
-            value: exec.value,
-            reference: exec.reference,
+        Ok(BatchRunReport {
+            values: exec.values,
+            references: exec.references,
             cycles: exec.cycles,
             expected_cycles: exec.expected_cycles,
             energy: exec.energy,
@@ -162,60 +298,56 @@ impl CompiledProgram {
         })
     }
 
-    /// Symbolically re-executes the recorded microprogram for one input
-    /// specialization and checks the root row against the pure-integer
-    /// reference evaluator.
-    ///
-    /// Compiled programs read multiplier operands through the sense
-    /// amplifiers to steer partial-product placement, so every input stays
-    /// concrete and the proof covers the recorded specialization: the
-    /// symbolic replay still discharges X-propagation, init obligations
-    /// and write-back divergence that concrete execution can mask.
-    ///
-    /// # Errors
-    ///
-    /// Unbound inputs or crossbar faults; checker verdicts (including
-    /// non-equivalence) land in the returned report.
-    pub fn verify_equiv(&self, inputs: &HashMap<String, u64>) -> Result<EquivReport, CompileError> {
-        let exec = self.execute(inputs)?;
-        let output = OutputBinding {
-            block: exec.root_block,
-            row: exec.root_row,
-            col0: 0,
-            width: self.dag.width() as usize,
-            col_step: 1,
-        };
-        let reference = exec.reference;
-        Ok(check_equiv(&exec.ops, &[], &output, move |_| reference))
-    }
-
-    /// Records one gate-level execution and returns the raw microprogram,
-    /// its output binding and the reference value — the ingredients for
-    /// external equivalence checking and miscompile-fixture construction
-    /// (mutate the trace, watch the checker catch it).
-    ///
-    /// # Errors
-    ///
-    /// Unbound inputs or crossbar faults.
-    pub fn record(
+    /// Records one execution: the microprogram, lane `lane`'s output
+    /// binding and that lane's reference value.
+    fn record(
         &self,
-        inputs: &HashMap<String, u64>,
+        inputs: &[HashMap<String, u64>],
+        lane: usize,
     ) -> Result<(OpTrace, OutputBinding, u64), CompileError> {
         let exec = self.execute(inputs)?;
         let output = OutputBinding {
-            block: exec.root_block,
-            row: exec.root_row,
-            col0: 0,
+            block: exec.root.block,
+            row: exec.root.row,
+            col0: lane,
             width: self.dag.width() as usize,
-            col_step: 1,
+            col_step: self.lanes,
         };
-        Ok((exec.ops, output, exec.reference))
+        Ok((exec.ops, output, exec.references[lane]))
     }
 
-    /// One recorded gate-level execution: the shared body behind
-    /// [`CompiledProgram::run`] and [`CompiledProgram::verify_equiv`].
-    fn execute(&self, inputs: &HashMap<String, u64>) -> Result<Execution, CompileError> {
-        let values = evaluate_all(&self.dag, inputs)?;
+    /// Reserves one compute block's fixed layout in allocation order:
+    /// the four staging rows, the serial-adder scratch, the ALU region.
+    fn reserve(
+        &self,
+        alloc: &mut RowAllocator,
+    ) -> Result<(SerialScratch, Vec<usize>), CompileError> {
+        let staging = alloc.alloc_many(4)?;
+        if staging != [ROW_X, ROW_Y, ROW_AUX, ROW_RES] {
+            return Err(CompileError::MachineCheck {
+                node: None,
+                detail: format!("staging rows landed at {staging:?}, planned 0..4"),
+            });
+        }
+        let scratch = SerialScratch::alloc(alloc)?;
+        let region = alloc.alloc_many(self.placement.region_rows)?;
+        Ok((scratch, region))
+    }
+
+    /// One recorded gate-level execution: the shared body behind every
+    /// run, record and equivalence entry point.
+    fn execute(&self, inputs: &[HashMap<String, u64>]) -> Result<Execution, CompileError> {
+        if inputs.len() != self.lanes {
+            return Err(CompileError::BatchUnsupported(format!(
+                "{} input bindings for a {}-lane program",
+                inputs.len(),
+                self.lanes
+            )));
+        }
+        let values: Vec<Vec<u64>> = inputs
+            .iter()
+            .map(|m| evaluate_all(&self.dag, m))
+            .collect::<Result<_, _>>()?;
         let cfg = &self.placement.config;
         let n = self.dag.width() as usize;
         let mut xbar = BlockedCrossbar::new(cfg.clone())?;
@@ -224,23 +356,19 @@ impl CompiledProgram {
             .collect::<Result<_, _>>()?;
 
         // Traced allocators, one per block; the planner pre-simulated this
-        // exact call sequence, so each alloc's row is asserted against it.
+        // exact call sequence, so each alloc's row is checked against it.
         let mut allocs: Vec<RowAllocator> = (0..cfg.blocks)
             .map(|_| RowAllocator::with_tracing(cfg.rows))
             .collect();
-        let mut scratches: Vec<SerialScratch> = Vec::with_capacity(2);
-        let mut regions: Vec<Vec<usize>> = Vec::with_capacity(2);
-        for alloc in allocs.iter_mut().take(2) {
-            let staging = alloc.alloc_many(4)?;
-            debug_assert_eq!(staging, [ROW_X, ROW_Y, ROW_AUX, ROW_RES]);
-            scratches.push(SerialScratch::alloc(alloc)?);
-            regions.push(if self.placement.region_rows > 0 {
-                alloc.alloc_many(self.placement.region_rows)?
-            } else {
-                Vec::new()
+        let [alloc0, alloc1, ..] = allocs.as_mut_slice() else {
+            return Err(CompileError::MachineCheck {
+                node: None,
+                detail: format!("{} blocks, the machine needs a compute pair", cfg.blocks),
             });
-        }
-        let scratches: [SerialScratch; 2] = scratches.try_into().expect("two compute blocks");
+        };
+        let (scratch0, region0) = self.reserve(alloc0)?;
+        let (scratch1, region1) = self.reserve(alloc1)?;
+        let scratches = [scratch0, scratch1];
 
         let stats_before = *xbar.stats();
         xbar.start_recording();
@@ -249,18 +377,25 @@ impl CompiledProgram {
             xbar: &mut xbar,
             blocks: &blocks,
             scratch: &scratches,
+            prog: self,
+            values: &values,
             n,
             t0: self.placement.region_base,
-            not_row: self.placement.region_base + self.placement.region_rows.saturating_sub(1),
         };
         let mut expected_cycles = 0u64;
         for i in 0..self.dag.len() {
-            let id = NodeId(i);
             let dest = self.placement.slots[i];
             let row = allocs[dest.block].alloc()?;
-            debug_assert_eq!(row, dest.row, "planner/runtime divergence at {id}");
-            expected_cycles +=
-                machine.exec(&self.dag, &self.placement, &self.model, &values, id)?;
+            if row != dest.row {
+                return Err(CompileError::MachineCheck {
+                    node: Some(i),
+                    detail: format!(
+                        "allocator gave block {} row {row}, the planner placed row {}",
+                        dest.block, dest.row
+                    ),
+                });
+            }
+            expected_cycles += machine.exec(NodeId(i))?;
             for &op in &self.placement.frees[i] {
                 let s = self.placement.slots[op.0];
                 allocs[s.block].free(s.row)?;
@@ -270,13 +405,20 @@ impl CompiledProgram {
 
         let root = self.dag.root().ok_or(CompileError::NoRoot)?;
         let root_slot = self.placement.slots[root.0];
-        let value = from_bits(&xbar.peek_word(blocks[root_slot.block], root_slot.row, 0, n)?);
+        let lane_values = read_lanes(
+            &xbar,
+            blocks[root_slot.block],
+            root_slot.row,
+            0,
+            n,
+            self.lanes,
+        )?;
 
         // Teardown: return every reserved row so the scratch-lifetime pass
         // sees a leak-free program.
         allocs[root_slot.block].free(root_slot.row)?;
-        for (b, scratch) in scratches.into_iter().enumerate() {
-            allocs[b].free_many(regions[b].iter().copied())?;
+        for (b, (scratch, region)) in scratches.into_iter().zip([region0, region1]).enumerate() {
+            allocs[b].free_many(region)?;
             scratch.release(&mut allocs[b])?;
             allocs[b].free_many([ROW_X, ROW_Y, ROW_AUX, ROW_RES])?;
         }
@@ -298,13 +440,165 @@ impl CompiledProgram {
             ops: trace,
             events,
             expected_cycles,
-            value,
-            reference: values[root.0],
+            values: lane_values,
+            references: values.iter().map(|lane| lane[root.0]).collect(),
             cycles: delta.cycles.get(),
             energy: delta.energy,
-            root_block: root_slot.block,
-            root_row: root_slot.row,
+            root: root_slot,
         })
+    }
+}
+
+impl CompiledProgram {
+    /// The (possibly strength-reduced) DAG this program executes.
+    pub fn dag(&self) -> &Dag {
+        &self.core.dag
+    }
+
+    /// The row placement.
+    pub fn placement(&self) -> &Placement {
+        &self.core.placement
+    }
+
+    /// The block-pair list schedule.
+    pub fn schedule(&self) -> &BlockSchedule {
+        &self.core.schedule
+    }
+
+    /// The lowered controller macro-op trace.
+    pub fn trace(&self) -> &Trace {
+        &self.core.trace
+    }
+
+    /// The analytic cost model used for cycle bookkeeping.
+    pub fn model(&self) -> &CostModel {
+        &self.core.model
+    }
+
+    /// Executes the program on simulated cells with the given input
+    /// bindings, then lints the recorded microprogram.
+    ///
+    /// # Errors
+    ///
+    /// Unbound inputs, crossbar faults, a failed machine check, or —
+    /// [`CompileError::VerificationFailed`] — an error-severity hazard
+    /// finding (a compiler bug by definition).
+    pub fn run(&self, inputs: &HashMap<String, u64>) -> Result<RunReport, CompileError> {
+        let report = self.core.run(std::slice::from_ref(inputs))?;
+        Ok(RunReport {
+            value: report.values[0],
+            reference: report.references[0],
+            cycles: report.cycles,
+            expected_cycles: report.expected_cycles,
+            energy: report.energy,
+            trace_len: report.trace_len,
+            lint: report.lint,
+        })
+    }
+
+    /// Symbolically re-executes the recorded microprogram for one input
+    /// specialization and checks the root row against the pure-integer
+    /// reference evaluator.
+    ///
+    /// Compiled programs read multiplier operands through the sense
+    /// amplifiers to steer partial-product placement, so every input stays
+    /// concrete and the proof covers the recorded specialization: the
+    /// symbolic replay still discharges X-propagation, init obligations
+    /// and write-back divergence that concrete execution can mask.
+    ///
+    /// # Errors
+    ///
+    /// Unbound inputs or crossbar faults; checker verdicts (including
+    /// non-equivalence) land in the returned report.
+    pub fn verify_equiv(&self, inputs: &HashMap<String, u64>) -> Result<EquivReport, CompileError> {
+        let (ops, output, reference) = self.record(inputs)?;
+        Ok(check_equiv(&ops, &[], &output, move |_| reference))
+    }
+
+    /// Records one gate-level execution and returns the raw microprogram,
+    /// its output binding and the reference value — the ingredients for
+    /// external equivalence checking and miscompile-fixture construction
+    /// (mutate the trace, watch the checker catch it).
+    ///
+    /// # Errors
+    ///
+    /// Unbound inputs or crossbar faults.
+    pub fn record(
+        &self,
+        inputs: &HashMap<String, u64>,
+    ) -> Result<(OpTrace, OutputBinding, u64), CompileError> {
+        self.core.record(std::slice::from_ref(inputs), 0)
+    }
+}
+
+impl BatchCompiledProgram {
+    /// The (possibly strength-reduced) DAG this program executes.
+    pub fn dag(&self) -> &Dag {
+        &self.core.dag
+    }
+
+    /// The row placement (the one-lane row map — lanes scale columns, not
+    /// rows).
+    pub fn placement(&self) -> &Placement {
+        &self.core.placement
+    }
+
+    /// The block-pair list schedule.
+    pub fn schedule(&self) -> &BlockSchedule {
+        &self.core.schedule
+    }
+
+    /// The lowered controller macro-op trace.
+    pub fn trace(&self) -> &Trace {
+        &self.core.trace
+    }
+
+    /// The analytic cost model used for cycle bookkeeping.
+    pub fn model(&self) -> &CostModel {
+        &self.core.model
+    }
+
+    /// Instances per pass this program was compiled for.
+    pub fn lanes(&self) -> usize {
+        self.core.lanes
+    }
+
+    /// Executes all `lanes` input bindings in one microprogram pass, then
+    /// lints the recorded trace through all five hazard passes.
+    ///
+    /// # Errors
+    ///
+    /// A binding-count mismatch ([`CompileError::BatchUnsupported`]),
+    /// unbound inputs, crossbar faults, a failed machine check, or
+    /// [`CompileError::VerificationFailed`] for an error-severity hazard
+    /// finding.
+    pub fn run(&self, inputs: &[HashMap<String, u64>]) -> Result<BatchRunReport, CompileError> {
+        self.core.run(inputs)
+    }
+
+    /// Symbolically re-executes the recorded batched microprogram and
+    /// checks lane `lane` of the root row against that lane's
+    /// pure-integer reference — the per-lane replication of
+    /// [`CompiledProgram::verify_equiv`]. The trace is recorded once; only
+    /// the output binding moves (`col0 = lane`, `col_step = lanes`).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BatchCompiledProgram::run`], plus an
+    /// out-of-range `lane`.
+    pub fn verify_equiv_lane(
+        &self,
+        inputs: &[HashMap<String, u64>],
+        lane: usize,
+    ) -> Result<EquivReport, CompileError> {
+        if lane >= self.core.lanes {
+            return Err(CompileError::BatchUnsupported(format!(
+                "lane {lane} out of range for a {}-lane program",
+                self.core.lanes
+            )));
+        }
+        let (ops, output, reference) = self.core.record(inputs, lane)?;
+        Ok(check_equiv(&ops, &[], &output, move |_| reference))
     }
 }
 
@@ -314,37 +608,56 @@ struct Execution {
     ops: OpTrace,
     events: Vec<AllocEvent>,
     expected_cycles: u64,
-    value: u64,
-    reference: u64,
+    values: Vec<u64>,
+    references: Vec<u64>,
     cycles: u64,
     energy: Joules,
-    root_block: usize,
-    root_row: usize,
+    root: Slot,
 }
 
-/// Execution context: the crossbar plus the fixed layout handles.
+/// Execution context: one program's fixed layout on a live crossbar.
 struct Machine<'a> {
     xbar: &'a mut BlockedCrossbar,
     blocks: &'a [BlockId],
     scratch: &'a [SerialScratch; 2],
+    prog: &'a Program,
+    /// `values[lane][node]`: the reference value of `node` in `lane`.
+    values: &'a [Vec<u64>],
     n: usize,
     /// First ALU-region row (partial products / tree survivors).
     t0: usize,
-    /// Shared multiplicand-complement row (block 1, top of the region).
-    not_row: usize,
 }
 
 impl Machine<'_> {
-    /// Two-NOT copy of a word segment between any two value rows, staged
-    /// through block 1's AUX row (2 cycles).
-    fn copy_word(&mut self, src: Slot, dst: Slot, cols: Range<usize>) -> Result<(), CompileError> {
-        self.xbar.copy_row_shifted(
-            RowRef::new(self.blocks[src.block], src.row),
-            RowRef::new(self.blocks[1], ROW_AUX),
-            RowRef::new(self.blocks[dst.block], dst.row),
-            cols,
-            0,
-        )?;
+    /// Row `row` of compute or data block `block`.
+    fn at(&self, block: usize, row: usize) -> RowRef {
+        RowRef::new(self.blocks[block], row)
+    }
+
+    /// The home row of a placed value.
+    fn home(&self, slot: Slot) -> RowRef {
+        self.at(slot.block, slot.row)
+    }
+
+    /// Physical bitline span of logical columns `cols`.
+    fn span(&self, cols: Range<usize>) -> Range<usize> {
+        cols.start * self.prog.lanes..cols.end * self.prog.lanes
+    }
+
+    /// Two-NOT copy of a logical column window between any two rows,
+    /// staged through block 1's AUX row and shifted by `shift` logical
+    /// columns (2 cycles).
+    fn copy(
+        &mut self,
+        src: RowRef,
+        dst: RowRef,
+        cols: Range<usize>,
+        shift: isize,
+    ) -> Result<(), CompileError> {
+        let aux = self.at(1, ROW_AUX);
+        let span = self.span(cols);
+        let shift = shift * self.prog.lanes as isize;
+        self.xbar.copy_row_shifted(src, aux, dst, span, shift)?;
         Ok(())
     }
 
@@ -354,154 +667,79 @@ impl Machine<'_> {
         if slot.block == 0 {
             return Ok(slot.row);
         }
-        let n = self.n;
-        self.copy_word(
-            slot,
-            Slot {
-                block: 0,
-                row: staging_row,
-            },
-            0..n,
-        )?;
+        self.copy(self.home(slot), self.at(0, staging_row), 0..self.n, 0)?;
         Ok(staging_row)
     }
 
-    /// Executes one node, returning its closed-form expected cycle count.
-    fn exec(
-        &mut self,
-        dag: &Dag,
-        placement: &Placement,
-        model: &CostModel,
-        values: &[u64],
-        id: NodeId,
-    ) -> Result<u64, CompileError> {
-        let n = self.n;
-        let bits = dag.width();
-        let dest = placement.slots[id.0];
-        match &dag.nodes()[id.0] {
+    /// Executes one node in every lane, returning its closed-form expected
+    /// cycle count.
+    fn exec(&mut self, id: NodeId) -> Result<u64, CompileError> {
+        let prog = self.prog;
+        let (n, lanes) = (self.n, prog.lanes);
+        let bits = prog.dag.width();
+        let slots = &prog.placement.slots;
+        let dest = slots[id.0];
+        let node = &prog.dag.nodes()[id.0];
+        match node {
             Node::Input { .. } | Node::Const { .. } => {
-                self.xbar.preload_word(
-                    self.blocks[dest.block],
-                    dest.row,
-                    0,
-                    &to_bits(values[id.0], n),
-                )?;
+                let (block, row) = (self.blocks[dest.block], dest.row);
+                if prog.steered {
+                    self.xbar
+                        .preload_u64(block, row, 0, n, self.values[0][id.0])?;
+                } else {
+                    let lane_values: Vec<u64> = self.values.iter().map(|lane| lane[id.0]).collect();
+                    preload_lanes(self.xbar, block, row, 0, n, lanes, &lane_values)?;
+                }
                 Ok(0)
             }
-            Node::Add { a, b } => {
-                let x = self.stage(placement.slots[a.0], ROW_X)?;
-                let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                add_words(self.xbar, self.blocks[0], x, y, out, 0..n, &self.scratch[0])?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0..n,
-                    )?;
+            Node::Add { a, b } | Node::Sub { a, b } => {
+                let x = self.stage(slots[a.0], ROW_X)?;
+                let y = self.stage(slots[b.0], ROW_Y)?;
+                let out = if dest.block == 0 { dest.row } else { ROW_RES };
+                let (block, scratch) = (self.blocks[0], &self.scratch[0]);
+                let cost = if let Node::Add { .. } = node {
+                    add_lanes(self.xbar, block, x, y, out, 0..n, lanes, scratch)?;
+                    prog.model.serial_add(bits)
+                } else {
+                    sub_lanes(self.xbar, block, x, y, ROW_AUX, out, 0..n, lanes, scratch)?;
+                    prog.model.serial_sub(bits)
+                };
+                if dest.block != 0 {
+                    self.copy(self.at(0, ROW_RES), self.home(dest), 0..n, 0)?;
                 }
-                Ok(model.serial_add(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
+                Ok(cost.cycles.get() + serial_copy_overhead(&prog.placement, *a, *b, id))
             }
-            Node::Sub { a, b } => {
-                let x = self.stage(placement.slots[a.0], ROW_X)?;
-                let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                sub_words(
-                    self.xbar,
-                    self.blocks[0],
-                    x,
-                    y,
-                    ROW_AUX,
-                    out,
-                    0..n,
-                    &self.scratch[0],
-                )?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0..n,
-                    )?;
-                }
-                Ok(model.serial_sub(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
-            }
-            Node::Shl { x, amount } => {
+            Node::Shl { x, amount } | Node::Shr { x, amount } => {
                 let k = *amount as usize;
-                let src = placement.slots[x.0];
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    0..n - k,
-                    k as isize,
-                )?;
-                Ok(2)
-            }
-            Node::Shr { x, amount } => {
-                let k = *amount as usize;
-                let src = placement.slots[x.0];
-                let sign = self.xbar.read_bit(self.blocks[src.block], src.row, n - 1)?;
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    k..n,
-                    -(k as isize),
-                )?;
-                for col in n - k..n {
-                    self.xbar
-                        .write_back_bit(self.blocks[dest.block], dest.row, col, sign)?;
+                let src = self.home(slots[x.0]);
+                let right = matches!(node, Node::Shr { .. });
+                // Steered: the sense amp reads the sign bit up front;
+                // `sign_fill` writes it back after the shift.
+                let sign = if right && prog.steered {
+                    Some(self.xbar.read_bit(src.block, src.row, n - 1)?)
+                } else {
+                    None
+                };
+                let dst = self.home(dest);
+                self.xbar.preload_zeros(dst.block, dst.row, 0, n * lanes)?;
+                if right {
+                    self.copy(src, dst, k..n, -(k as isize))?;
+                    Ok(2 + self.sign_fill(src, dst, k, sign)?)
+                } else {
+                    self.copy(src, dst, 0..n - k, k as isize)?;
+                    Ok(2)
                 }
-                Ok(2 + k as u64)
             }
             Node::Mul { a, b, mode } => {
-                let (mcand, mult, _) = mul_multiplier(dag, *a, *b, *mode);
-                let mbits = self.read_multiplier(placement.slots[mult.0])?;
-                debug_assert_eq!(mbits, values[mult.0]);
-                let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
-                let count = self.place_pps(placement.slots[mcand.0], &shifts, 0)?;
-                self.finish_product(count, *mode, dest)?;
-                Ok(model.multiply_trunc_value(bits, mbits, *mode).cycles.get()
-                    + mul_copy_overhead(
-                        bits,
-                        count,
-                        mode.relaxed_product_bits(),
-                        placement.in_compute(id),
-                    ))
+                let (mcand, mult, constant) = mul_multiplier(&prog.dag, *a, *b, *mode);
+                self.product(id, &[(mcand, mult, constant)], *mode)
             }
             Node::Mac { terms, mode } => {
-                let mut count = 0usize;
-                let mut multipliers = Vec::with_capacity(terms.len());
-                for &(ta, tb) in terms {
-                    let mbits = self.read_multiplier(placement.slots[tb.0])?;
-                    debug_assert_eq!(mbits, values[tb.0]);
-                    multipliers.push(mbits);
-                    let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
-                    count += self.place_pps(placement.slots[ta.0], &shifts, count)?;
-                }
-                self.finish_product(count, *mode, dest)?;
-                Ok(model
-                    .mac_group_value(bits, &multipliers, *mode)
-                    .cycles
-                    .get()
-                    + mul_copy_overhead(
-                        bits,
-                        count,
-                        mode.relaxed_product_bits(),
-                        placement.in_compute(id),
-                    ))
+                let terms: Vec<_> = terms
+                    .iter()
+                    .map(|&(a, b)| (a, b, constant_of(&prog.dag, b)))
+                    .collect();
+                self.product(id, &terms, *mode)
             }
             // compile() expands Math nodes before placement and place()
             // rejects any that remain, so execution can never see one.
@@ -511,187 +749,208 @@ impl Machine<'_> {
         }
     }
 
-    /// Where a serial (block 0) result lands: the destination row when it
-    /// lives in block 0, else the staging RES row plus a copy-out.
-    fn serial_out(&self, dest: Slot) -> (usize, bool) {
-        if dest.block == 0 {
-            (dest.row, false)
-        } else {
-            (ROW_RES, true)
+    /// Fills the top `k` columns of a right shift with the source's sign
+    /// and returns the cycles spent. Steered: the sign read before the
+    /// shift is written back per fill column (`k` cycles). Unsteered: the
+    /// sign lane span is NOTed into AUX once, then one cross-block NOR per
+    /// fill column re-complements it into place (`1 + k` cycles).
+    fn sign_fill(
+        &mut self,
+        src: RowRef,
+        dst: RowRef,
+        k: usize,
+        sign: Option<bool>,
+    ) -> Result<u64, CompileError> {
+        let n = self.n;
+        if let Some(sign) = sign {
+            for col in n - k..n {
+                self.xbar.write_back_bit(dst.block, dst.row, col, sign)?;
+            }
+            return Ok(k as u64);
         }
+        if k == 0 {
+            return Ok(0);
+        }
+        let aux = self.at(1, ROW_AUX);
+        let sign = self.span(n - 1..n);
+        self.xbar.init_rows(aux.block, &[aux.row], sign.clone())?;
+        self.xbar.nor_rows_shifted(&[src], aux, sign.clone(), 0)?;
+        for c in n - k..n {
+            let shift = (c as isize - (n as isize - 1)) * self.prog.lanes as isize;
+            self.xbar
+                .init_rows(dst.block, &[dst.row], self.span(c..c + 1))?;
+            self.xbar
+                .nor_rows_shifted(&[aux], dst, sign.clone(), shift)?;
+        }
+        Ok(1 + k as u64)
     }
 
-    /// Reads the multiplier word through the sense amplifier (free of
-    /// cycles, like the hand-written multiplier's bit scan).
-    fn read_multiplier(&mut self, slot: Slot) -> Result<u64, CompileError> {
+    /// A multiplication (one term) or fused MAC (several) for node `id`:
+    /// per term `(multiplicand, multiplier, constant multiplier value)`,
+    /// the multiplier word steers a shared-NOT partial-product burst into
+    /// region rows `t0..`; then one Wallace reduction and one final
+    /// addition over the whole pile.
+    fn product(
+        &mut self,
+        id: NodeId,
+        terms: &[(NodeId, NodeId, Option<u64>)],
+        mode: PrecisionMode,
+    ) -> Result<u64, CompileError> {
+        let placement = &self.prog.placement;
+        let bits = self.prog.dag.width();
+        let not_row = self.t0 + placement.region_rows.saturating_sub(1);
+        let mut count = 0usize;
+        let mut multipliers = Vec::with_capacity(terms.len());
+        for &(mcand, mult, constant) in terms {
+            let mbits = self.multiplier(id, mult, constant)?;
+            multipliers.push(mbits);
+            let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
+            place_partial_products(
+                self.xbar,
+                self.home(placement.slots[mcand.0]),
+                self.at(1, not_row),
+                self.at(0, self.t0 + count),
+                &shifts,
+                self.n,
+                self.n,
+                self.prog.lanes,
+            )?;
+            count += shifts.len();
+        }
+        self.finish_product(id, count, mode)?;
+        Ok(self
+            .prog
+            .model
+            .mac_group_value(bits, &multipliers, mode)
+            .cycles
+            .get()
+            + mul_copy_overhead(
+                bits,
+                count,
+                mode.relaxed_product_bits(),
+                placement.in_compute(id),
+            ))
+    }
+
+    /// The multiplier word `mult` that steers partial-product placement
+    /// for node `id`. Steered: read through the sense amps (free of
+    /// cycles, like the hand-written multiplier's bit scan) and checked
+    /// against the reference. Unsteered: the compile-time constant every
+    /// lane shares.
+    fn multiplier(
+        &mut self,
+        id: NodeId,
+        mult: NodeId,
+        constant: Option<u64>,
+    ) -> Result<u64, CompileError> {
+        if !self.prog.steered {
+            return constant.ok_or_else(|| CompileError::MachineCheck {
+                node: Some(id.0),
+                detail: format!("lane-uniform program with a non-constant multiplier {mult}"),
+            });
+        }
+        let src = self.home(self.prog.placement.slots[mult.0]);
         let mut bits = 0u64;
         for col in 0..self.n {
-            bits |= u64::from(self.xbar.read_bit(self.blocks[slot.block], slot.row, col)?) << col;
+            bits |= u64::from(self.xbar.read_bit(src.block, src.row, col)?) << col;
+        }
+        let reference = self.values[0][mult.0];
+        if bits != reference {
+            return Err(CompileError::MachineCheck {
+                node: Some(id.0),
+                detail: format!(
+                    "sense amps read multiplier {mult} as {bits:#x}, reference is {reference:#x}"
+                ),
+            });
         }
         Ok(bits)
     }
 
-    /// Generates one multiplicand's truncated partial products into region
-    /// rows `t0 + pp_base ..`, sharing a single complement NOR
-    /// (`1 + shifts.len()` cycles; zero for an all-zero multiplier).
-    fn place_pps(
-        &mut self,
-        mcand: Slot,
-        shifts: &[u32],
-        pp_base: usize,
-    ) -> Result<usize, CompileError> {
-        if shifts.is_empty() {
-            return Ok(0);
-        }
-        let n = self.n;
-        self.xbar.init_rows(self.blocks[1], &[self.not_row], 0..n)?;
-        self.xbar.nor_rows_shifted(
-            &[RowRef::new(self.blocks[mcand.block], mcand.row)],
-            RowRef::new(self.blocks[1], self.not_row),
-            0..n,
-            0,
-        )?;
-        for (i, &shift) in shifts.iter().enumerate() {
-            let lo = shift as usize;
-            let row = self.t0 + pp_base + i;
-            self.xbar
-                .preload_word(self.blocks[0], row, 0, &vec![false; n + 2])?;
-            self.xbar.init_rows(self.blocks[0], &[row], lo..n)?;
-            self.xbar.nor_rows_shifted(
-                &[RowRef::new(self.blocks[1], self.not_row)],
-                RowRef::new(self.blocks[0], row),
-                0..n - lo,
-                lo as isize,
-            )?;
-        }
-        Ok(shifts.len())
-    }
-
-    /// Turns a pile of `count` partial products (region rows `t0..`) into
-    /// the destination word: Wallace reduction to two survivors, then the
-    /// (optionally relaxed) final addition of the §3.4 scheme.
+    /// Turns node `id`'s pile of `count` partial products (region rows
+    /// `t0..`) into its destination word: Wallace reduction to two
+    /// survivors, then the (optionally relaxed) final addition of the §3.4
+    /// scheme.
     fn finish_product(
         &mut self,
+        id: NodeId,
         count: usize,
         mode: PrecisionMode,
-        dest: Slot,
     ) -> Result<(), CompileError> {
         let n = self.n;
-        match count {
-            0 => {
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                Ok(())
-            }
-            1 => self.copy_word(
-                Slot {
-                    block: 0,
-                    row: self.t0,
-                },
-                dest,
-                0..n,
-            ),
-            _ => {
-                let (survivor_block, survivors) = reduce_rows_to_two_at(
-                    self.xbar,
-                    self.blocks[0],
-                    self.blocks[1],
-                    count,
-                    0..n,
-                    self.t0,
-                )?;
-                debug_assert_eq!(survivors, 2);
-                let m = (mode.relaxed_product_bits() as usize).min(n);
-                self.final_add(survivor_block, m, dest)
-            }
-        }
-    }
-
-    /// The §3.4 final product generation over the two survivors at rows
-    /// `t0`/`t0 + 1` of `s`: `m` approximate LSBs via MAJ carries, the rest
-    /// via the serial netlist seeded with the boundary carry.
-    fn final_add(&mut self, s: BlockId, m: usize, dest: Slot) -> Result<(), CompileError> {
-        let n = self.n;
-        let si = if s == self.blocks[0] { 0 } else { 1 };
-        let oi = 1 - si;
-        let (t0, t1) = (self.t0, self.t0 + 1);
-        if m == 0 {
-            if si == 0 && dest.block == 0 {
-                add_words(self.xbar, s, t0, t1, dest.row, 0..n, &self.scratch[0])?;
-            } else {
-                add_words(self.xbar, s, t0, t1, ROW_RES, 0..n, &self.scratch[si])?;
-                self.copy_word(
-                    Slot {
-                        block: si,
-                        row: ROW_RES,
-                    },
-                    dest,
-                    0..n,
-                )?;
-            }
+        let dest = self.home(self.prog.placement.slots[id.0]);
+        if count == 0 {
+            let width = n * self.prog.lanes;
+            self.xbar.preload_zeros(dest.block, dest.row, 0, width)?;
             return Ok(());
         }
-        // Approximate LSBs: a MAJ + write-back carry chain in AUX, then
-        // one parallel inversion into the partner block's RES row.
-        self.xbar.preload_bit(s, ROW_AUX, 0, false)?;
-        for col in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(s, [(t0, col), (t1, col), (ROW_AUX, col)])?;
-            self.xbar.write_back_bit(s, ROW_AUX, col + 1, carry)?;
+        if count == 1 {
+            return self.copy(self.at(0, self.t0), dest, 0..n, 0);
         }
-        self.xbar.init_rows(self.blocks[oi], &[ROW_RES], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[RowRef::new(s, ROW_AUX)],
-            RowRef::new(self.blocks[oi], ROW_RES),
-            1..m + 1,
-            -1,
+        let (survivor_block, survivors) = reduce_rows_to_two_lanes(
+            self.xbar,
+            self.blocks[0],
+            self.blocks[1],
+            count,
+            0..n,
+            self.prog.lanes,
+            self.t0,
+        )?;
+        if survivors != 2 {
+            return Err(CompileError::MachineCheck {
+                node: Some(id.0),
+                detail: format!("Wallace reduction of {count} rows left {survivors}"),
+            });
+        }
+        let si = usize::from(survivor_block != self.blocks[0]);
+        let m = (mode.relaxed_product_bits() as usize).min(n);
+        if m == 0 {
+            // Exact: block 0 survivors add straight into a block-0
+            // destination; every other case goes through RES.
+            let direct = si == 0 && dest.block == self.blocks[0];
+            let out = if direct { dest.row } else { ROW_RES };
+            let (t0, lanes) = (self.t0, self.prog.lanes);
+            add_lanes(
+                self.xbar,
+                survivor_block,
+                t0,
+                t0 + 1,
+                out,
+                0..n,
+                lanes,
+                &self.scratch[si],
+            )?;
+            return if direct {
+                Ok(())
+            } else {
+                self.copy(self.at(si, ROW_RES), dest, 0..n, 0)
+            };
+        }
+        if !self.prog.steered {
+            return Err(CompileError::MachineCheck {
+                node: Some(id.0),
+                detail: "lane-uniform program with an approximate final product".into(),
+            });
+        }
+        // §3.4 approximate tail: `m` LSBs from sense-amp MAJ carries land
+        // in the partner block's RES row, the exact high bits in the
+        // survivors' RES row; both are copied out.
+        let low = self.at(1 - si, ROW_RES);
+        final_add(
+            self.xbar,
+            self.at(si, self.t0),
+            low,
+            ROW_AUX,
+            ROW_RES,
+            n,
+            m,
+            &self.scratch[si],
         )?;
         if m == n {
-            return self.copy_word(
-                Slot {
-                    block: oi,
-                    row: ROW_RES,
-                },
-                dest,
-                0..n,
-            );
+            return self.copy(low, dest, 0..n, 0);
         }
-        // Hand the exact boundary carry to the serial netlist and finish
-        // the high bits.
-        let scratch = &self.scratch[si];
-        self.xbar.init_cells(s, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(s, &[(ROW_AUX, m)], (scratch.carry, m))?;
-        add_words_with_carry(self.xbar, s, t0, t1, ROW_RES, m..n, scratch)?;
-        self.copy_word(
-            Slot {
-                block: oi,
-                row: ROW_RES,
-            },
-            dest,
-            0..m,
-        )?;
-        self.copy_word(
-            Slot {
-                block: si,
-                row: ROW_RES,
-            },
-            dest,
-            m..n,
-        )?;
-        Ok(())
+        self.copy(low, dest, 0..m, 0)?;
+        self.copy(self.at(si, ROW_RES), dest, m..n, 0)
     }
-}
-
-fn to_bits(v: u64, n: usize) -> Vec<bool> {
-    (0..n).map(|i| (v >> i) & 1 == 1).collect()
-}
-
-fn from_bits(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0, |acc, (i, &b)| acc | (u64::from(b) << i))
 }
 
 #[cfg(test)]
@@ -913,12 +1172,213 @@ mod tests {
     }
 
     #[test]
+    fn planner_runtime_divergence_is_an_error_not_a_panic() {
+        let mut dag = Dag::new(8).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let s = dag.add(x, y).unwrap();
+        dag.set_root(s).unwrap();
+        let mut program = compile(&dag, &CompileOptions::default()).unwrap();
+        // A placement whose root slot disagrees with the row the traced
+        // allocator hands out at run time.
+        program.core.placement.slots[s.0].row += 1;
+        let err = program.run(&bind(&[("x", 1), ("y", 2)])).unwrap_err();
+        assert!(
+            matches!(err, CompileError::MachineCheck { node: Some(i), .. } if i == s.0),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn compile_requires_root() {
         let mut dag = Dag::new(8).unwrap();
         dag.input("x").unwrap();
         assert!(matches!(
             compile(&dag, &CompileOptions::default()),
             Err(CompileError::NoRoot)
+        ));
+    }
+
+    fn bind(pairs: &[(&str, u64)]) -> HashMap<String, u64> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    /// x + y - z at width 16, batched across all 64 lanes, checked against
+    /// the serial reference per lane.
+    #[test]
+    fn batched_add_sub_matches_reference_in_every_lane() {
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let z = dag.input("z").unwrap();
+        let s = dag.add(x, y).unwrap();
+        let d = dag.sub(s, z).unwrap();
+        dag.set_root(d).unwrap();
+        let lanes = 64;
+        let program = compile_batched(&dag, &CompileOptions::default(), lanes).unwrap();
+        let inputs: Vec<HashMap<String, u64>> = (0..lanes as u64)
+            .map(|j| {
+                bind(&[
+                    ("x", (j * 977 + 3) & 0xFFFF),
+                    ("y", (j * 1543 + 77) & 0xFFFF),
+                    ("z", (j * 401 + 9) & 0xFFFF),
+                ])
+            })
+            .collect();
+        let report = program.run(&inputs).unwrap();
+        assert!(report.lint.is_clean(), "lint: {}", report.lint);
+        assert_eq!(report.values, report.references);
+        assert_eq!(report.cycles, report.expected_cycles);
+        // The batch costs what one serial instance costs: 12n+1 + 12n+2.
+        assert_eq!(report.cycles, (12 * 16 + 1) + (12 * 16 + 2));
+    }
+
+    #[test]
+    fn batched_cycles_match_the_serial_program() {
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let c = dag.constant(0b1011);
+        let m = dag.mul(x, c, PrecisionMode::Exact).unwrap();
+        let s = dag.add(m, x).unwrap();
+        let r = dag.shr(s, 3).unwrap();
+        dag.set_root(r).unwrap();
+
+        let serial = crate::compile(&dag, &CompileOptions::default()).unwrap();
+        let serial_report = serial.run(&bind(&[("x", 1234)])).unwrap();
+
+        let lanes = 8;
+        let batched = compile_batched(&dag, &CompileOptions::default(), lanes).unwrap();
+        let inputs: Vec<HashMap<String, u64>> = (0..lanes as u64)
+            .map(|j| bind(&[("x", 1000 + j * 111)]))
+            .collect();
+        let report = batched.run(&inputs).unwrap();
+        assert_eq!(report.values, report.references);
+        assert_eq!(report.cycles, report.expected_cycles);
+        // The batched Shr pays one extra cycle (in-array sign fill); all
+        // other nodes cost exactly the serial count.
+        assert_eq!(report.cycles, serial_report.cycles + 1);
+        // Lane 0 of the batch computes the serial lane-0 value.
+        assert_eq!(
+            report.values[0],
+            crate::eval::evaluate(batched.dag(), &inputs[0]).unwrap()
+        );
+    }
+
+    #[test]
+    fn batched_mac_and_shl_run_clean() {
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let c = dag.constant(3);
+        let d = dag.constant(21);
+        let m = dag.mac(vec![(x, c), (y, d)], PrecisionMode::Exact).unwrap();
+        let l = dag.shl(m, 2).unwrap();
+        dag.set_root(l).unwrap();
+        let lanes = 16;
+        let program = compile_batched(&dag, &CompileOptions::default(), lanes).unwrap();
+        let inputs: Vec<HashMap<String, u64>> = (0..lanes as u64)
+            .map(|j| bind(&[("x", 500 + j * 31), ("y", 900 + j * 17)]))
+            .collect();
+        let report = program.run(&inputs).unwrap();
+        assert!(report.lint.is_clean(), "lint: {}", report.lint);
+        assert_eq!(report.values, report.references);
+        assert_eq!(report.cycles, report.expected_cycles);
+    }
+
+    #[test]
+    fn negative_constants_strength_reduce_and_batch() {
+        // A sharpen-style tap: add(x·5, y·(-1)) — strength reduction turns
+        // the negative tap into a Sub, leaving only positive constant
+        // multipliers, which is exactly what makes workload DAGs batchable.
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let five = dag.constant(5);
+        let neg = dag.constant(0xFFFF); // -1 at width 16
+        let m1 = dag.mul(x, five, PrecisionMode::Exact).unwrap();
+        let m2 = dag.mul(y, neg, PrecisionMode::Exact).unwrap();
+        let s = dag.add(m1, m2).unwrap();
+        dag.set_root(s).unwrap();
+        let lanes = 4;
+        let program = compile_batched(&dag, &CompileOptions::default(), lanes).unwrap();
+        let inputs: Vec<HashMap<String, u64>> = (0..lanes as u64)
+            .map(|j| bind(&[("x", 100 + j), ("y", 7 * j + 1)]))
+            .collect();
+        let report = program.run(&inputs).unwrap();
+        assert_eq!(report.values, report.references);
+    }
+
+    #[test]
+    fn per_lane_equivalence_proofs_transfer() {
+        let mut dag = Dag::new(12).unwrap();
+        let x = dag.input("x").unwrap();
+        let c = dag.constant(0b101);
+        let m = dag.mul(x, c, PrecisionMode::Exact).unwrap();
+        let y = dag.input("y").unwrap();
+        let s = dag.add(m, y).unwrap();
+        dag.set_root(s).unwrap();
+        let lanes = 8;
+        let program = compile_batched(&dag, &CompileOptions::default(), lanes).unwrap();
+        let inputs: Vec<HashMap<String, u64>> = (0..lanes as u64)
+            .map(|j| bind(&[("x", (j * 53 + 11) & 0xFFF), ("y", (j * 29 + 5) & 0xFFF)]))
+            .collect();
+        for lane in [0, 1, lanes - 1] {
+            let report = program.verify_equiv_lane(&inputs, lane).unwrap();
+            assert!(report.equivalent, "lane {lane}: {}", report.lint);
+        }
+    }
+
+    #[test]
+    fn unsupported_batches_are_rejected_up_front() {
+        // Unknown multiplier: per-lane partial-product placement.
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let m = dag.mul(x, y, PrecisionMode::Exact).unwrap();
+        dag.set_root(m).unwrap();
+        assert!(matches!(
+            compile_batched(&dag, &CompileOptions::default(), 4),
+            Err(CompileError::BatchUnsupported(_))
+        ));
+
+        // Approximate final product: per-lane carry reads.
+        let mut dag = Dag::new(16).unwrap();
+        let x = dag.input("x").unwrap();
+        let c = dag.constant(7);
+        let m = dag
+            .mul(x, c, PrecisionMode::LastStage { relax_bits: 4 })
+            .unwrap();
+        dag.set_root(m).unwrap();
+        assert!(matches!(
+            compile_batched(&dag, &CompileOptions::default(), 4),
+            Err(CompileError::BatchUnsupported(_))
+        ));
+
+        // Lane counts outside 1..=64.
+        let mut dag = Dag::new(8).unwrap();
+        let x = dag.input("x").unwrap();
+        dag.set_root(x).unwrap();
+        for lanes in [0, 65] {
+            assert!(matches!(
+                compile_batched(&dag, &CompileOptions::default(), lanes),
+                Err(CompileError::BatchUnsupported(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn binding_count_must_match_lanes() {
+        let mut dag = Dag::new(8).unwrap();
+        let x = dag.input("x").unwrap();
+        let y = dag.input("y").unwrap();
+        let s = dag.add(x, y).unwrap();
+        dag.set_root(s).unwrap();
+        let program = compile_batched(&dag, &CompileOptions::default(), 4).unwrap();
+        let short: Vec<HashMap<String, u64>> =
+            (0..3).map(|j| bind(&[("x", j), ("y", j)])).collect();
+        assert!(matches!(
+            program.run(&short),
+            Err(CompileError::BatchUnsupported(_))
         ));
     }
 }

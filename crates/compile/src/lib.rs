@@ -17,7 +17,9 @@
 //! 3. **Scheduling** ([`plan::schedule`]) — independent DAG nodes are
 //!    list-scheduled across the crossbar's block pairs for the parallel
 //!    latency estimate.
-//! 4. **Gate-level execution** ([`backend`]) — [`CompiledProgram::run`]
+//! 4. **Gate-level execution** ([`backend`]) — one machine runs
+//!    `lanes` instances per pass ([`compile`] is the one-lane case,
+//!    [`compile_batched`] the `L`-lane one). [`CompiledProgram::run`]
 //!    drives the real simulated cells with operation recording armed, then
 //!    replays the captured microprogram through **all five**
 //!    `apim-verify` hazard passes as a post-condition. A compiled program
@@ -31,7 +33,6 @@
 #![deny(missing_docs)]
 
 pub mod backend;
-pub mod batch;
 pub mod eval;
 pub mod expand;
 pub mod ir;
@@ -40,8 +41,10 @@ pub mod parse;
 pub mod plan;
 
 pub use apim_math::{MathFn, MathMode, MathSpec};
-pub use backend::{compile, CompileOptions, CompiledProgram, RunReport};
-pub use batch::{compile_batched, BatchCompiledProgram, BatchRunReport};
+pub use backend::{
+    compile, compile_batched, BatchCompiledProgram, BatchRunReport, CompileOptions,
+    CompiledProgram, RunReport,
+};
 pub use eval::{evaluate, evaluate_all, evaluate_all_with, evaluate_bound};
 pub use expand::{expand_math, has_math};
 pub use ir::{Dag, Node, NodeId};
@@ -76,10 +79,19 @@ pub enum CompileError {
     /// The compiled microprogram tripped an `apim-verify` hazard pass —
     /// a compiler bug, never a user error.
     VerificationFailed(String),
-    /// The DAG (or call) is outside the lane-batched backend's
+    /// The DAG (or call) is outside the lane-batched programs'
     /// data-independent-control subset — e.g. a non-constant multiplier or
     /// an approximate final product.
     BatchUnsupported(String),
+    /// A gate-level machine invariant failed at run time: execution
+    /// diverged from what compilation planned — a compiler bug, never a
+    /// user error.
+    MachineCheck {
+        /// The DAG node being executed, or `None` during layout setup.
+        node: Option<usize>,
+        /// The invariant that failed, with the observed values.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -104,6 +116,13 @@ impl std::fmt::Display for CompileError {
             CompileError::BatchUnsupported(msg) => {
                 write!(f, "not lane-batchable: {msg}")
             }
+            CompileError::MachineCheck { node, detail } => match node {
+                Some(i) => write!(f, "gate-level machine check failed at node {i}: {detail}"),
+                None => write!(
+                    f,
+                    "gate-level machine check failed in layout setup: {detail}"
+                ),
+            },
         }
     }
 }

@@ -148,6 +148,7 @@ impl Store {
 
     /// Lowest column in `span` of `row` reading OFF, if any (pre-validated
     /// coordinates). The strict-init scan.
+    #[inline]
     fn first_off(&self, row: usize, span: &Range<usize>) -> Option<usize> {
         match self {
             Store::Packed(a) => a.first_off(row, span),
@@ -158,6 +159,7 @@ impl Store {
     }
 
     /// Sets every cell of a pre-validated span of `row` to ON.
+    #[inline]
     fn fill_on_span(&mut self, row: usize, span: &Range<usize>) {
         match self {
             Store::Packed(a) => a.fill_on_span(row, span),
@@ -192,6 +194,7 @@ impl Store {
 
     /// Stores the low `width ≤ 64` bits of `value` from `col0` of a
     /// pre-validated row.
+    #[inline]
     fn store_word_bits(&mut self, row: usize, col0: usize, width: usize, value: u64) {
         match self {
             Store::Packed(a) => a
@@ -223,6 +226,7 @@ impl Store {
     }
 
     /// Reads `width ≤ 64` bits LSB-first from `col0` of a pre-validated row.
+    #[inline]
     fn read_word_bits(&self, row: usize, col0: usize, width: usize) -> u64 {
         match self {
             Store::Packed(a) => a.read_word_bits(row, col0, width).expect("span validated"),
@@ -1234,20 +1238,23 @@ impl BlockedCrossbar {
                 "nor_lanes lane count {lanes} outside 1..={WORD_BITS}"
             )));
         }
-        self.check_row(out.0)?;
+        // `check_word_store` checks the row before the columns.
         self.check_word_store(out.0, out.1, lanes)?;
         for &(row, col0) in inputs {
-            self.check_row(row)?;
             self.check_word_store(row, col0, lanes)?;
         }
+        // One-lane spans are single cells, which never partially overlap;
+        // skipping the scan keeps the serial adder's hot path cheap.
         let disjoint = |a: usize, b: usize| a == b || a.abs_diff(b) >= lanes;
-        for (i, &(_, a)) in inputs.iter().enumerate() {
-            if !disjoint(a, out.1) {
-                return Err(CrossbarError::LaneOverlap { a, b: out.1, lanes });
-            }
-            for &(_, b) in &inputs[..i] {
-                if !disjoint(a, b) {
-                    return Err(CrossbarError::LaneOverlap { a, b, lanes });
+        if lanes > 1 {
+            for (i, &(_, a)) in inputs.iter().enumerate() {
+                if !disjoint(a, out.1) {
+                    return Err(CrossbarError::LaneOverlap { a, b: out.1, lanes });
+                }
+                for &(_, b) in &inputs[..i] {
+                    if !disjoint(a, b) {
+                        return Err(CrossbarError::LaneOverlap { a, b, lanes });
+                    }
                 }
             }
         }

@@ -257,6 +257,7 @@ impl PackedArray {
     }
 
     /// Sets every cell of a (pre-validated) column span of `row` to ON.
+    #[inline]
     pub(crate) fn fill_on_span(&mut self, row: usize, cols: &Range<usize>) {
         for (w, mask) in word_span(cols) {
             self.store_masked(row, w, u64::MAX, mask);
@@ -264,6 +265,7 @@ impl PackedArray {
     }
 
     /// Validates a `width`-bit word access at `(row, col0..)`.
+    #[inline]
     fn check_word_span(&self, row: usize, col0: usize, width: usize) -> Result<()> {
         if width > WORD_BITS {
             return Err(CrossbarError::InvalidConfig(format!(
@@ -295,6 +297,7 @@ impl PackedArray {
     /// Returns [`CrossbarError::InvalidConfig`] for `width > 64` and
     /// [`CrossbarError::OutOfBounds`] if the span falls outside the array;
     /// a rejected store writes nothing.
+    #[inline]
     pub fn store_word_bits(
         &mut self,
         row: usize,
@@ -303,6 +306,12 @@ impl PackedArray {
         value: u64,
     ) -> Result<()> {
         self.check_word_span(row, col0, width)?;
+        let (w, off) = (col0 / WORD_BITS, col0 % WORD_BITS);
+        if width > 0 && off + width <= WORD_BITS {
+            // The span sits in one word: a single masked store.
+            self.store_masked(row, w, value << off, bit_range_mask(off, off + width));
+            return Ok(());
+        }
         let span = col0..col0 + width;
         for (w, mask) in word_span(&span) {
             let base = w * WORD_BITS;
@@ -323,8 +332,14 @@ impl PackedArray {
     ///
     /// Returns [`CrossbarError::InvalidConfig`] for `width > 64` and
     /// [`CrossbarError::OutOfBounds`] if the span falls outside the array.
+    #[inline]
     pub fn read_word_bits(&self, row: usize, col0: usize, width: usize) -> Result<u64> {
         self.check_word_span(row, col0, width)?;
+        let (w, off) = (col0 / WORD_BITS, col0 % WORD_BITS);
+        if width > 0 && off + width <= WORD_BITS {
+            // The span sits in one word: a single masked load.
+            return Ok((self.word(row, w) >> off) & bit_range_mask(0, width));
+        }
         let mut out = 0u64;
         let span = col0..col0 + width;
         for (w, mask) in word_span(&span) {
@@ -463,6 +478,7 @@ impl PackedArray {
     /// Lowest column in `span` of `row` that reads OFF, if any — the
     /// word-parallel strict-init scan (`(word & mask) != mask` → first
     /// zero bit via `trailing_zeros`).
+    #[inline]
     pub(crate) fn first_off(&self, row: usize, span: &Range<usize>) -> Option<usize> {
         for (w, mask) in word_span(span) {
             let off = !self.word(row, w) & mask;

@@ -16,11 +16,11 @@
 //! existing `preload_u64` / `peek_u64` word APIs (one word per *bit
 //! position*, carrying that bit of all `L` instances).
 //!
-//! [`add_lanes`] / [`sub_lanes`] are the lane-batched twins of
-//! [`crate::adder_serial::add_words`] / [`crate::subtractor::sub_words`]:
-//! identical netlists, identical cycle counts (`12N + 1` / `12N + 2`), with
-//! every scattered single-cell NOR widened into a
-//! [`BlockedCrossbar::nor_lanes`] over the lane span.
+//! [`add_lanes`] / [`sub_lanes`] run the serial adder and subtractor
+//! netlists (`12N + 1` / `12N + 2` cycles) with every single-bit NOR
+//! widened into a [`BlockedCrossbar::nor_lanes`] over the lane span;
+//! [`crate::adder_serial::add_words`] / [`crate::subtractor::sub_words`]
+//! are their `lanes = 1` calls.
 
 use apim_crossbar::{BlockId, BlockedCrossbar, CrossbarError, Result, RowRef, WORD_BITS};
 use std::ops::Range;

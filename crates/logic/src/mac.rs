@@ -13,13 +13,15 @@
 //! modulo `2^n` exactly like the kernels it models.
 
 use apim_crossbar::{
-    Backend, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
+    Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, RowRef,
+    Stats,
 };
 use apim_device::DeviceParams;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
-use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
+use crate::adder_serial::SerialScratch;
 use crate::functional::partial_product_shifts;
+use crate::multiplier::{final_add, place_partial_products};
 use crate::precision::PrecisionMode;
 use crate::wallace::reduce_rows_to_two;
 
@@ -162,37 +164,24 @@ impl CrossbarMac {
         }
         let snapshot = *self.xbar.stats();
         let mut pp_rows = 0usize;
-        let not_row = self.xbar.rows() - 1;
+        let not_row = RowRef::new(p0, self.xbar.rows() - 1);
         for (t, _) in terms.iter().enumerate() {
             let mut bits = 0u64;
             for i in 0..n {
                 bits |= u64::from(self.xbar.read_bit(data, 2 * t + 1, i)?) << i;
             }
             let shifts = partial_product_shifts(bits, mode.masked_multiplier_bits());
-            if shifts.is_empty() {
-                continue;
-            }
-            // Shared first NOT for this term's copies.
-            self.xbar.init_rows(p0, &[not_row], 0..n)?;
-            self.xbar.nor_rows_shifted(
-                &[apim_crossbar::RowRef::new(data, 2 * t)],
-                apim_crossbar::RowRef::new(p0, not_row),
-                0..n,
-                0,
+            place_partial_products(
+                &mut self.xbar,
+                RowRef::new(data, 2 * t),
+                not_row,
+                RowRef::new(p1, pp_rows),
+                &shifts,
+                n,
+                w,
+                1,
             )?;
-            for &shift in &shifts {
-                let lo = shift as usize;
-                let hi = (lo + n).min(w);
-                self.xbar.preload_zeros(p1, pp_rows, 0, w + 2)?;
-                self.xbar.init_rows(p1, &[pp_rows], lo..hi)?;
-                self.xbar.nor_rows_shifted(
-                    &[apim_crossbar::RowRef::new(p0, not_row)],
-                    apim_crossbar::RowRef::new(p1, pp_rows),
-                    0..hi - lo,
-                    shift as isize,
-                )?;
-                pp_rows += 1;
-            }
+            pp_rows += shifts.len();
         }
 
         let value = match pp_rows {
@@ -203,7 +192,7 @@ impl CrossbarMac {
                 debug_assert_eq!(survivors, 2);
                 let other = if block == p0 { p1 } else { p0 };
                 let m = (mode.relaxed_product_bits() as usize).min(w);
-                self.final_add(block, other, w, m)?
+                self.final_stage(block, other, w, m)?
             }
         };
         Ok(MacRun {
@@ -212,43 +201,25 @@ impl CrossbarMac {
         })
     }
 
-    fn final_add(
-        &mut self,
-        block: apim_crossbar::BlockId,
-        other: apim_crossbar::BlockId,
-        w: usize,
-        m: usize,
-    ) -> Result<u64> {
+    fn final_stage(&mut self, block: BlockId, other: BlockId, w: usize, m: usize) -> Result<u64> {
         let mut alloc = RowAllocator::new(self.xbar.rows());
         alloc.alloc_many(3)?;
         let carry_row = alloc.alloc()?;
         let scratch = SerialScratch::alloc(&mut alloc)?;
-        if m == 0 {
-            add_words(&mut self.xbar, block, 0, 1, 2, 0..w, &scratch)?;
-            return self.xbar.peek_u64(block, 2, 0, w);
-        }
-        self.xbar.preload_bit(block, carry_row, 0, false)?;
-        for i in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(block, [(0, i), (1, i), (carry_row, i)])?;
-            self.xbar.write_back_bit(block, carry_row, i + 1, carry)?;
-        }
-        self.xbar.init_rows(other, &[0], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(block, carry_row)],
-            apim_crossbar::RowRef::new(other, 0),
-            1..m + 1,
-            -1,
+        final_add(
+            &mut self.xbar,
+            RowRef::new(block, 0),
+            RowRef::new(other, 0),
+            carry_row,
+            2,
+            w,
+            m,
+            &scratch,
         )?;
         let low = self.xbar.peek_u64(other, 0, 0, m)?;
         if m == w {
             return Ok(low);
         }
-        self.xbar.init_cells(block, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(block, &[(carry_row, m)], (scratch.carry, m))?;
-        add_words_with_carry(&mut self.xbar, block, 0, 1, 2, m..w, &scratch)?;
         let high = self.xbar.peek_u64(block, 2, m, w - m)?;
         Ok(low | high << m)
     }

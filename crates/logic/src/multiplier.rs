@@ -29,9 +29,11 @@
 //! enforced by tests.
 
 use apim_crossbar::{
-    Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
+    Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, RowRef,
+    Stats,
 };
 use apim_device::DeviceParams;
+use std::ops::Range;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
 use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
@@ -248,28 +250,17 @@ impl CrossbarMultiplier {
         // Wear leveling: rotate the whole working region through the slots.
         let base = (self.epoch % self.level_slots) * Self::region_rows(self.n);
 
-        // Shared first NOT of the multiplicand (reused by every copy).
-        let not_row = self.xbar.rows() - 1;
-        self.xbar.init_rows(p0, &[not_row], 0..n)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(data, 0)],
-            apim_crossbar::RowRef::new(p0, not_row),
-            0..n,
-            0,
+        let not_row = RowRef::new(p0, self.xbar.rows() - 1);
+        place_partial_products(
+            &mut self.xbar,
+            RowRef::new(data, 0),
+            not_row,
+            RowRef::new(p1, base),
+            &shifts,
+            n,
+            w,
+            1,
         )?;
-        for (row, &shift) in shifts.iter().enumerate() {
-            // Fresh operand row: clear the full product window.
-            self.xbar.preload_zeros(p1, base + row, 0, w + 2)?;
-            let lo = shift as usize;
-            let hi = (lo + n).min(w);
-            self.xbar.init_rows(p1, &[base + row], lo..hi)?;
-            self.xbar.nor_rows_shifted(
-                &[apim_crossbar::RowRef::new(p0, not_row)],
-                apim_crossbar::RowRef::new(p1, base + row),
-                0..hi - lo,
-                shift as isize,
-            )?;
-        }
         breakdown.partial_products = *self.xbar.stats() - snapshot;
         if ones == 1 {
             let product = peek_wide(&self.xbar, p1, base, 0, w)?;
@@ -317,59 +308,121 @@ impl CrossbarMultiplier {
         let exact_carry_row = alloc.alloc()?; // exact carries of the relaxed region
         let scratch = SerialScratch::alloc(&mut alloc)?;
 
-        if m == 0 {
-            add_words(
-                &mut self.xbar,
-                block,
-                base,
-                base + 1,
-                out_row,
-                0..w,
-                &scratch,
-            )?;
-            return peek_wide(&self.xbar, block, out_row, 0, w);
-        }
-
-        // Relaxed region: exact carries via the MAJ sense amplifier
-        // (1 cycle) + write-back (1 cycle) per bit.
-        self.xbar.preload_bit(block, exact_carry_row, 0, false)?;
-        for i in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(block, [(base, i), (base + 1, i), (exact_carry_row, i)])?;
-            self.xbar
-                .write_back_bit(block, exact_carry_row, i + 1, carry)?;
-        }
-        // All relaxed sum bits at once: S[i] = NOT(C[i+1]), one parallel
-        // NOR through the interconnect (shift −1).
-        self.xbar.init_rows(other, &[base], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(block, exact_carry_row)],
-            apim_crossbar::RowRef::new(other, base),
-            1..m + 1,
-            -1,
+        final_add(
+            &mut self.xbar,
+            RowRef::new(block, base),
+            RowRef::new(other, base),
+            exact_carry_row,
+            out_row,
+            w,
+            m,
+            &scratch,
         )?;
         let low = peek_wide(&self.xbar, other, base, 0, m)?;
         if m == w {
             return Ok(low);
         }
-
-        // Exact region: complement the boundary carry, then ripple.
-        self.xbar.init_cells(block, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(block, &[(exact_carry_row, m)], (scratch.carry, m))?;
-        add_words_with_carry(
-            &mut self.xbar,
-            block,
-            base,
-            base + 1,
-            out_row,
-            m..w,
-            &scratch,
-        )?;
         let high = peek_wide(&self.xbar, block, out_row, m, w - m)?;
         Ok(low | high << m)
     }
+}
+
+/// Stage 1 (partial-product generation) for one multiplicand: one shared
+/// NOT of `mcand` into `not_row`, then per multiplier `shifts` entry a
+/// cleared product-window row (`dst`, `dst.row + 1`, …) receiving the
+/// re-complemented multiplicand pre-shifted by the interconnect. Costs
+/// `1 + shifts.len()` cycles, nothing for an empty `shifts`.
+///
+/// The multiplicand has `n` bits; the product window is `w` bits wide
+/// (`2N` full, `N` truncated). Rows use the interleaved layout of
+/// [`crate::lanes`], so `lanes` instances share every cycle.
+///
+/// # Errors
+///
+/// Propagates crossbar errors.
+#[allow(clippy::too_many_arguments)] // one parameter per row of the layout
+pub fn place_partial_products(
+    xbar: &mut BlockedCrossbar,
+    mcand: RowRef,
+    not_row: RowRef,
+    dst: RowRef,
+    shifts: &[u32],
+    n: usize,
+    w: usize,
+    lanes: usize,
+) -> Result<()> {
+    if shifts.is_empty() {
+        return Ok(());
+    }
+    let span = |cols: Range<usize>| cols.start * lanes..cols.end * lanes;
+    xbar.init_rows(not_row.block, &[not_row.row], span(0..n))?;
+    xbar.nor_rows_shifted(&[mcand], not_row, span(0..n), 0)?;
+    for (i, &shift) in shifts.iter().enumerate() {
+        let row = dst.row + i;
+        let lo = shift as usize;
+        let hi = (lo + n).min(w);
+        // Fresh operand row: clear the full product window.
+        xbar.preload_zeros(dst.block, row, 0, (w + 2) * lanes)?;
+        xbar.init_rows(dst.block, &[row], span(lo..hi))?;
+        xbar.nor_rows_shifted(
+            &[not_row],
+            RowRef::new(dst.block, row),
+            span(0..hi - lo),
+            (lo * lanes) as isize,
+        )?;
+    }
+    Ok(())
+}
+
+/// Stage 3 (final product generation, §3.4) over the two reduction
+/// survivors at rows `operands.row` / `operands.row + 1` of
+/// `operands.block`, with `m` relaxed LSBs of a `w`-bit window:
+///
+/// * `m == 0`: the exact serial adder into `out_row` (`12w + 1` cycles);
+/// * `m > 0`: exact carries of the relaxed region via the MAJ sense
+///   amplifier plus write-back into `carry_row` (2 cycles per bit), all
+///   relaxed sum bits at once into `low` (one NOR through the interconnect,
+///   shift −1), then — unless `m == w` — the serial adder over the high
+///   bits into `out_row`, seeded with the complemented boundary carry.
+///
+/// Low bits land in `low` (columns `0..m`), high bits in `out_row` of the
+/// survivors' block (columns `m..w`). One lane: the MAJ carries steer
+/// write-backs.
+///
+/// # Errors
+///
+/// Propagates crossbar errors.
+#[allow(clippy::too_many_arguments)] // one parameter per row of the layout
+pub fn final_add(
+    xbar: &mut BlockedCrossbar,
+    operands: RowRef,
+    low: RowRef,
+    carry_row: usize,
+    out_row: usize,
+    w: usize,
+    m: usize,
+    scratch: &SerialScratch,
+) -> Result<()> {
+    let block = operands.block;
+    let (a, b) = (operands.row, operands.row + 1);
+    if m == 0 {
+        return add_words(xbar, block, a, b, out_row, 0..w, scratch);
+    }
+    xbar.preload_bit(block, carry_row, 0, false)?;
+    for i in 0..m {
+        let carry = xbar.maj_read(block, [(a, i), (b, i), (carry_row, i)])?;
+        xbar.write_back_bit(block, carry_row, i + 1, carry)?;
+    }
+    // All relaxed sum bits at once: S[i] = NOT(C[i+1]).
+    xbar.init_rows(low.block, &[low.row], 0..m)?;
+    xbar.nor_rows_shifted(&[RowRef::new(block, carry_row)], low, 1..m + 1, -1)?;
+    if m == w {
+        return Ok(());
+    }
+    // Exact region: complement the boundary carry, then ripple.
+    xbar.init_cells(block, &[(scratch.carry, m)])?;
+    xbar.nor_cells(block, &[(carry_row, m)], (scratch.carry, m))?;
+    add_words_with_carry(xbar, block, a, b, out_row, m..w, scratch)
 }
 
 /// Debug read of up to 128 bits (the `2N`-bit product window) as ≤ 64-bit

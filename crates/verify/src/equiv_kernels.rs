@@ -104,12 +104,17 @@ fn binding(name: &str, block: usize, row: usize, width: usize) -> OperandBinding
     }
 }
 
-/// The block whose `row` received the last single-cell NOR write — how the
-/// harnesses locate a result whose block is decided mid-run by the
-/// Wallace tree's ping-ponging.
+/// The block whose `row` received the last scattered-cell NOR write (a
+/// single-cell `NorCells` or its lane form `NorLanes`, which the serial
+/// adder issues at one lane) — how the harnesses locate a result whose
+/// block is decided mid-run by the Wallace tree's ping-ponging.
 fn block_writing_row(trace: &OpTrace, row: usize) -> Option<usize> {
     trace.ops.iter().rev().find_map(|op| match op {
-        TraceOp::NorCells { block, out, .. } if out.0 == row => Some(*block),
+        TraceOp::NorCells { block, out, .. } | TraceOp::NorLanes { block, out, .. }
+            if out.0 == row =>
+        {
+            Some(*block)
+        }
         _ => None,
     })
 }

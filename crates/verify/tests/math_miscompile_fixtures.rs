@@ -40,6 +40,39 @@ fn record_math(func: MathFn, input: i64) -> (OpTrace, OutputBinding, u64) {
     program.record(&inputs).unwrap()
 }
 
+/// A `(row, col)` cell coordinate.
+type Cell = (usize, usize);
+
+/// The block, inputs and output cell of a single-cell NOR gate: a
+/// `NorCells`, or the one-lane `NorLanes { lanes: 1 }` form the serial
+/// adder issues.
+fn single_cell_nor(op: &TraceOp) -> Option<(usize, &[Cell], Cell)> {
+    match op {
+        TraceOp::NorCells { block, inputs, out }
+        | TraceOp::NorLanes {
+            block,
+            inputs,
+            out,
+            lanes: 1,
+        } => Some((*block, inputs, *out)),
+        _ => None,
+    }
+}
+
+/// Mutable inputs and output cell of a [`single_cell_nor`] gate.
+fn single_cell_nor_mut(op: &mut TraceOp) -> Option<(&mut Vec<Cell>, &mut Cell)> {
+    match op {
+        TraceOp::NorCells { inputs, out, .. }
+        | TraceOp::NorLanes {
+            inputs,
+            out,
+            lanes: 1,
+            ..
+        } => Some((inputs, out)),
+        _ => None,
+    }
+}
+
 /// For each output column, the index of the LAST single-cell NOR gate
 /// writing that cell of the output row — the final serial adder's sum-bit
 /// stores, which nothing reads afterwards (so corrupting one is invisible
@@ -48,8 +81,8 @@ fn record_math(func: MathFn, input: i64) -> (OpTrace, OutputBinding, u64) {
 fn final_root_gates(trace: &OpTrace, output: &OutputBinding) -> Vec<usize> {
     let mut last: HashMap<usize, usize> = HashMap::new();
     for (i, op) in trace.ops.iter().enumerate() {
-        if let TraceOp::NorCells { block, out, .. } = op {
-            if *block == output.block && out.0 == output.row {
+        if let Some((block, _, out)) = single_cell_nor(op) {
+            if block == output.block && out.0 == output.row {
                 last.insert(out.1, i);
             }
         }
@@ -111,8 +144,8 @@ fn sin_duplicated_nor_operand_is_caught() {
         .rev()
         .find_map(|i| {
             let mut bad = trace.clone();
-            let TraceOp::NorCells { inputs, .. } = &mut bad.ops[i] else {
-                unreachable!("final_root_gates only returns NorCells");
+            let Some((inputs, _)) = single_cell_nor_mut(&mut bad.ops[i]) else {
+                unreachable!("final_root_gates only returns single-cell NORs");
             };
             if inputs.len() < 2 || inputs[0] == inputs[1] {
                 return None;
@@ -136,9 +169,9 @@ fn cos_swapped_output_cells_are_caught() {
     // other's columns. Picking columns whose reference bits differ makes
     // the transposition guaranteed-visible.
     let gates = final_root_gates(&bad, &output);
-    let col_of = |t: &OpTrace, i: usize| match &t.ops[i] {
-        TraceOp::NorCells { out, .. } => out.1,
-        _ => unreachable!(),
+    let col_of = |t: &OpTrace, i: usize| match single_cell_nor(&t.ops[i]) {
+        Some((_, _, out)) => out.1,
+        None => unreachable!(),
     };
     let (gi, gj) = {
         let mut pick = None;
@@ -157,28 +190,39 @@ fn cos_swapped_output_cells_are_caught() {
     let row = output.row;
     // Swap the two gates' output cells and their immediately-preceding
     // single-cell inits (the init/write pair must move together, or the
-    // mutation would trade one bug for an uninitialized-write hazard).
+    // mutation would trade one bug for an uninitialized-write hazard). A
+    // one-lane gate's init is the one-cell `InitRows` span of its lane
+    // form; a `NorCells` gate's is an `InitCells` entry.
     for g in [gi, gj] {
         let (from, to) = if g == gi { (ci, cj) } else { (cj, ci) };
-        let TraceOp::NorCells { out, .. } = &mut bad.ops[g] else {
-            unreachable!("final_root_gates only returns NorCells");
+        let Some((_, out)) = single_cell_nor_mut(&mut bad.ops[g]) else {
+            unreachable!("final_root_gates only returns single-cell NORs");
         };
         assert_eq!(*out, (row, from));
         *out = (row, to);
+        let inits_cell = |op: &TraceOp| match op {
+            TraceOp::InitCells { block, cells } => {
+                *block == output.block && cells.contains(&(row, from))
+            }
+            TraceOp::InitRows { block, rows, cols } => {
+                *block == output.block && rows.contains(&row) && *cols == (from..from + 1)
+            }
+            _ => false,
+        };
         let init = (g.saturating_sub(5)..g)
             .rev()
-            .find(|&j| {
-                matches!(&bad.ops[j], TraceOp::InitCells { block, cells }
-                    if *block == output.block && cells.contains(&(row, from)))
-            })
+            .find(|&j| inits_cell(&bad.ops[j]))
             .expect("each sum-bit store is preceded by its init");
-        let TraceOp::InitCells { cells, .. } = &mut bad.ops[init] else {
-            unreachable!("found above");
-        };
-        for cell in cells.iter_mut() {
-            if *cell == (row, from) {
-                *cell = (row, to);
+        match &mut bad.ops[init] {
+            TraceOp::InitCells { cells, .. } => {
+                for cell in cells.iter_mut() {
+                    if *cell == (row, from) {
+                        *cell = (row, to);
+                    }
+                }
             }
+            TraceOp::InitRows { cols, .. } => *cols = to..to + 1,
+            _ => unreachable!("found above"),
         }
     }
     let cx = assert_caught_and_replayable(&trace, &bad, &output, reference);
@@ -201,8 +245,8 @@ fn sqrt_stale_scratch_read_is_caught() {
         .rev()
         .find_map(|i| {
             let mut bad = trace.clone();
-            let TraceOp::NorCells { inputs, .. } = &mut bad.ops[i] else {
-                unreachable!("final_root_gates only returns NorCells");
+            let Some((inputs, _)) = single_cell_nor_mut(&mut bad.ops[i]) else {
+                unreachable!("final_root_gates only returns single-cell NORs");
             };
             let cell = inputs.iter_mut().find(|c| c.1 >= 1)?;
             cell.1 -= 1;

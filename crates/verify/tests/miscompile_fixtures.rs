@@ -55,6 +55,25 @@ fn record_adder4() -> Recorded {
     }
 }
 
+/// A `(row, col)` cell coordinate.
+type Cell = (usize, usize);
+
+/// Mutable inputs and output cell of a single-cell NOR gate: a
+/// `NorCells`, or the one-lane `NorLanes { lanes: 1 }` form the serial
+/// adder issues.
+fn single_cell_nor_mut(op: &mut TraceOp) -> Option<(&mut Vec<Cell>, &mut Cell)> {
+    match op {
+        TraceOp::NorCells { inputs, out, .. }
+        | TraceOp::NorLanes {
+            inputs,
+            out,
+            lanes: 1,
+            ..
+        } => Some((inputs, out)),
+        _ => None,
+    }
+}
+
 fn adder_bindings(r: &Recorded) -> [OperandBinding; 2] {
     [
         OperandBinding {
@@ -169,8 +188,8 @@ fn fixture_1_wrong_operand_row() {
     let inputs = t
         .ops
         .iter_mut()
-        .find_map(|op| match op {
-            TraceOp::NorCells { inputs, .. }
+        .find_map(|op| match single_cell_nor_mut(op) {
+            Some((inputs, _))
                 if inputs.contains(&(r.x_row, 0)) && inputs.contains(&(r.y_row, 0)) =>
             {
                 Some(inputs)
@@ -194,7 +213,7 @@ fn fixture_2_dropped_carry() {
     // seeded bit-0 cell: the carry chain is severed and the program
     // degenerates to XOR. Writes stay put, so nothing is uninitialized.
     for op in &mut t.ops {
-        if let TraceOp::NorCells { inputs, .. } = op {
+        if let Some((inputs, _)) = single_cell_nor_mut(op) {
             for cell in inputs.iter_mut() {
                 if cell.0 == r.scratch.carry && cell.1 >= 1 {
                     cell.1 = 0;
@@ -214,7 +233,8 @@ fn fixture_3_swapped_output_cells() {
     let r = record_adder4();
     let mut t = r.trace.clone();
     // Every sum-bit store (and its matching init) lands in the adjacent
-    // column: the output word comes back with bit pairs transposed.
+    // column: the output word comes back with bit pairs transposed. A
+    // one-lane gate's init is a one-cell `InitRows` span.
     for op in &mut t.ops {
         match op {
             TraceOp::InitCells { cells, .. } => {
@@ -224,8 +244,17 @@ fn fixture_3_swapped_output_cells() {
                     }
                 }
             }
-            TraceOp::NorCells { out, .. } if out.0 == r.out_row => out.1 ^= 1,
-            _ => {}
+            TraceOp::InitRows { rows, cols, .. } if *rows == [r.out_row] && cols.len() == 1 => {
+                let col = cols.start ^ 1;
+                *cols = col..col + 1;
+            }
+            _ => {
+                if let Some((_, out)) = single_cell_nor_mut(op) {
+                    if out.0 == r.out_row {
+                        out.1 ^= 1;
+                    }
+                }
+            }
         }
     }
     assert_adder_counterexample(&t, &r);
@@ -243,8 +272,8 @@ fn fixture_4_stale_scratch_read() {
     let inputs = t
         .ops
         .iter_mut()
-        .find_map(|op| match op {
-            TraceOp::NorCells { inputs, out, .. }
+        .find_map(|op| match single_cell_nor_mut(op) {
+            Some((inputs, out))
                 if out.1 == 1 && inputs.iter().all(|c| netlist.contains(&c.0) && c.1 == 1) =>
             {
                 Some(inputs)
