@@ -487,7 +487,7 @@ impl ClusterClient {
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
             match rpc(inner, index, &Message::MetricsPull { seq }) {
                 Ok(Message::Metrics { seq: got, snapshot }) if got == seq => {
-                    per_node.push((slot.addr.clone(), snapshot));
+                    per_node.push((slot.addr.clone(), *snapshot));
                 }
                 Ok(_) | Err(_) => unreachable.push(slot.addr.clone()),
             }

@@ -488,7 +488,7 @@ fn handle_message(
                 .conn
                 .queue_frame(&wire::encode_frame(&Message::Metrics {
                     seq,
-                    snapshot: inner.pool.metrics().snapshot(),
+                    snapshot: Box::new(inner.pool.metrics().snapshot()),
                 }));
         }
         // Clients never send server-only kinds; a peer that does is broken.
@@ -581,7 +581,7 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<NodeInner>) {
             },
             Message::MetricsPull { seq } => Message::Metrics {
                 seq,
-                snapshot: inner.pool.metrics().snapshot(),
+                snapshot: Box::new(inner.pool.metrics().snapshot()),
             },
             // Clients never send server-only kinds; a peer that does is
             // broken, and the connection closes with a structured goodbye.

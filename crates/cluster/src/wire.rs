@@ -178,8 +178,9 @@ pub enum Message {
     Metrics {
         /// Correlation id of the originating pull.
         seq: u64,
-        /// The snapshot, merged fleet-wide by the aggregator.
-        snapshot: MetricsSnapshot,
+        /// The snapshot, merged fleet-wide by the aggregator (boxed: it is
+        /// by far the largest payload, and every other message is small).
+        snapshot: Box<MetricsSnapshot>,
     },
     /// The peer violated the protocol; sent as a last frame before the
     /// connection is closed so the failure is diagnosable on both ends.
@@ -671,7 +672,7 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let bytes = r.take(len as usize)?;
             Message::Metrics {
                 seq,
-                snapshot: MetricsSnapshot::decode(bytes)?,
+                snapshot: Box::new(MetricsSnapshot::decode(bytes)?),
             }
         }
         7 => Message::ProtocolError {
@@ -869,7 +870,7 @@ mod tests {
         round_trip(Message::MetricsPull { seq: 11 });
         round_trip(Message::Metrics {
             seq: 11,
-            snapshot: apim_serve::Metrics::default().snapshot(),
+            snapshot: Box::new(apim_serve::Metrics::default().snapshot()),
         });
         round_trip(Message::ProtocolError {
             detail: "declared payload 1048577 B exceeds cap".into(),
@@ -903,7 +904,7 @@ mod tests {
         assert_eq!(
             Message::Metrics {
                 seq: 6,
-                snapshot: apim_serve::Metrics::default().snapshot(),
+                snapshot: Box::new(apim_serve::Metrics::default().snapshot()),
             }
             .correlation_id(),
             Some(6)

@@ -50,7 +50,7 @@ fn message_pool() -> Vec<Message> {
         Message::MetricsPull { seq: 4 },
         Message::Metrics {
             seq: 4,
-            snapshot: apim_serve::Metrics::default().snapshot(),
+            snapshot: Box::new(apim_serve::Metrics::default().snapshot()),
         },
         Message::ProtocolError { detail: "x".into() },
     ]

@@ -53,7 +53,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
         Message::MetricsPull { seq: 11 },
         Message::Metrics {
             seq: 11,
-            snapshot: apim_serve::Metrics::default().snapshot(),
+            snapshot: Box::new(apim_serve::Metrics::default().snapshot()),
         },
         Message::ProtocolError {
             detail: "client sent a server-only message kind".into(),

@@ -591,14 +591,30 @@ impl BatchCompiledProgram {
         inputs: &[HashMap<String, u64>],
         lane: usize,
     ) -> Result<EquivReport, CompileError> {
+        let (ops, output, reference) = self.record(inputs, lane)?;
+        Ok(check_equiv(&ops, &[], &output, move |_| reference))
+    }
+
+    /// Records one batched gate-level execution and returns the raw
+    /// microprogram, lane `lane`'s output binding and its reference value
+    /// — the batched counterpart of [`CompiledProgram::record`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BatchCompiledProgram::run`] (lint aside), plus
+    /// an out-of-range `lane`.
+    pub fn record(
+        &self,
+        inputs: &[HashMap<String, u64>],
+        lane: usize,
+    ) -> Result<(OpTrace, OutputBinding, u64), CompileError> {
         if lane >= self.core.lanes {
             return Err(CompileError::BatchUnsupported(format!(
                 "lane {lane} out of range for a {}-lane program",
                 self.core.lanes
             )));
         }
-        let (ops, output, reference) = self.core.record(inputs, lane)?;
-        Ok(check_equiv(&ops, &[], &output, move |_| reference))
+        self.core.record(inputs, lane)
     }
 }
 

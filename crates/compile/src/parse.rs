@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 
 use apim_logic::PrecisionMode;
-use apim_math::{default_spec, max_iters, max_log2_segments, MathFn, MathMode, MathSpec};
+use apim_math::{default_spec, max_iters, max_log2_segments, validate, MathFn, MathMode, MathSpec};
 
 use crate::ir::{Dag, Node, NodeId};
 use crate::CompileError;
@@ -224,7 +224,10 @@ fn applied_math_spec(
     };
     if func != MathFn::Sqrt {
         if let Some(f) = frac {
-            spec.frac = f; // range-checked by Dag::math
+            spec.frac = f;
+            // Reject an illegal format before the LUT bound below
+            // computes with it.
+            validate(width, &spec).map_err(|e| e.to_string())?;
         }
     }
     spec.mode = match mode {
@@ -293,6 +296,15 @@ impl Cursor<'_> {
         }
     }
 
+    /// [`Cursor::number`] for a field narrower than `u64`: a value that
+    /// does not fit is an error, never a silent truncation.
+    fn narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<(T, usize), ParseError> {
+        let (v, c) = self.number(what)?;
+        T::try_from(v)
+            .map(|v| (v, c))
+            .map_err(|_| err(self.line, c, format!("{what} {v} out of range")))
+    }
+
     fn done(&self) -> Result<(), ParseError> {
         match self.toks.get(self.pos) {
             None => Ok(()),
@@ -336,11 +348,11 @@ impl Parser {
         };
         match keyword.as_str() {
             "width" => {
-                let (w, c) = cur.number("a word width")?;
+                let (w, c) = cur.narrow("a word width")?;
                 if self.dag.is_some() {
                     return Err(err(cur.line, head_col, "duplicate 'width' directive"));
                 }
-                self.dag = Some(Self::lift(Dag::new(w as u32), cur.line, c)?);
+                self.dag = Some(Self::lift(Dag::new(w), cur.line, c)?);
             }
             "mode" => {
                 let (t, c) = cur.next("'exact', 'mask' or 'relax'")?;
@@ -357,16 +369,12 @@ impl Parser {
                 self.mode = match name.as_str() {
                     "exact" => PrecisionMode::Exact,
                     "mask" => {
-                        let (bits, _) = cur.number("masked bit count")?;
-                        PrecisionMode::FirstStage {
-                            masked_bits: bits as u8,
-                        }
+                        let (masked_bits, _) = cur.narrow("masked bit count")?;
+                        PrecisionMode::FirstStage { masked_bits }
                     }
                     "relax" => {
-                        let (bits, _) = cur.number("relaxed bit count")?;
-                        PrecisionMode::LastStage {
-                            relax_bits: bits as u8,
-                        }
+                        let (relax_bits, _) = cur.narrow("relaxed bit count")?;
+                        PrecisionMode::LastStage { relax_bits }
                     }
                     other => {
                         return Err(err(
@@ -391,16 +399,12 @@ impl Parser {
                 };
                 let mode = match name.as_str() {
                     "cordic" => {
-                        let (iters, _) = cur.number("an iteration count")?;
-                        MathMode::Cordic {
-                            iters: iters as u32,
-                        }
+                        let (iters, _) = cur.narrow("an iteration count")?;
+                        MathMode::Cordic { iters }
                     }
                     "lut" => {
-                        let (k, _) = cur.number("a log2 segment count")?;
-                        MathMode::Lut {
-                            log2_segments: k as u32,
-                        }
+                        let (log2_segments, _) = cur.narrow("a log2 segment count")?;
+                        MathMode::Lut { log2_segments }
                     }
                     other => {
                         return Err(err(
@@ -412,8 +416,8 @@ impl Parser {
                 };
                 let frac = if cur.peek() == Some(&Tok::Ident("frac".into())) {
                     cur.next("'frac'")?;
-                    let (f, _) = cur.number("fraction bits")?;
-                    Some(f as u32)
+                    let (f, _) = cur.narrow("fraction bits")?;
+                    Some(f)
                 } else {
                     None
                 };
@@ -489,13 +493,13 @@ impl Parser {
                 _ => return Ok(id),
             };
             let (_, op_col) = cur.next("a shift")?;
-            let (amount, _) = cur.number("a constant shift distance")?;
+            let (amount, _) = cur.narrow("a constant shift distance")?;
             let dag = self.dag.as_mut().expect("expr implies width");
             id = Self::lift(
                 if left {
-                    dag.shl(id, amount as u32)
+                    dag.shl(id, amount)
                 } else {
-                    dag.shr(id, amount as u32)
+                    dag.shr(id, amount)
                 },
                 cur.line,
                 op_col,
@@ -817,6 +821,38 @@ mod tests {
         assert!(e.msg.contains("constant shift distance"));
         let e = parse_program("width 16\nin x").unwrap_err();
         assert!(e.msg.contains("out"));
+    }
+
+    #[test]
+    fn oversized_numbers_are_errors_not_truncations() {
+        // 2^32 + 16 would truncate to a valid width 16, 2^32 + 1 to a
+        // one-bit shift, 264 to eight masked bits.
+        for (src, what) in [
+            ("width 4294967312\nout 1", "word width"),
+            ("width 16\nout x << 4294967297", "shift distance"),
+            ("width 16\nmode mask 264\nout x * 3", "masked bit count"),
+            (
+                "width 16\nmath cordic 4294967304\nout sin(x)",
+                "iteration count",
+            ),
+        ] {
+            let e = parse_program(src).unwrap_err();
+            assert!(
+                e.msg.contains(what) && e.msg.contains("out of range"),
+                "{src}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn illegal_lut_fraction_is_an_error() {
+        // The LUT segment bound used to compute with the raw `frac`,
+        // overflowing its shift before the format was range-checked.
+        for frac in [0, 14, 200] {
+            let src = format!("width 16\nmath lut 4 frac {frac}\nout sin(x)");
+            let e = parse_program(&src).unwrap_err();
+            assert!(e.msg.contains("frac"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -201,6 +201,10 @@ pub struct Metrics {
     pub batches: Counter,
     /// Requests that shared a batch with at least one other request.
     pub coalesced: Counter,
+    /// Pixel-kernel lookups answered by the pool's compiled-kernel cache.
+    pub kernel_cache_hits: Counter,
+    /// Pixel-kernel lookups that compiled and inserted a new program.
+    pub kernel_cache_misses: Counter,
     /// Jobs currently waiting in the intake queue.
     pub queue_depth: Gauge,
     /// Workers currently executing a batch.
@@ -233,6 +237,8 @@ impl Metrics {
             retries: self.retries.get(),
             batches: self.batches.get(),
             coalesced: self.coalesced.get(),
+            kernel_cache_hits: self.kernel_cache_hits.get(),
+            kernel_cache_misses: self.kernel_cache_misses.get(),
             queue_depth: self.queue_depth.get(),
             workers_busy: self.workers_busy.get(),
             connections_open: self.connections_open.get(),
@@ -273,6 +279,10 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Requests that shared a batch.
     pub coalesced: u64,
+    /// Pixel-kernel cache hits.
+    pub kernel_cache_hits: u64,
+    /// Pixel-kernel cache misses (compiles).
+    pub kernel_cache_misses: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: i64,
     /// Busy workers at snapshot time.
@@ -305,8 +315,9 @@ pub struct MetricsSnapshot {
 }
 
 /// Version byte leading every [`MetricsSnapshot::encode`] payload.
-/// Version 2 appended the connection/in-flight gauges.
-pub const SNAPSHOT_CODEC_VERSION: u8 = 2;
+/// Version 2 appended the connection/in-flight gauges; version 3 the
+/// kernel-cache hit and miss counters.
+pub const SNAPSHOT_CODEC_VERSION: u8 = 3;
 
 /// Cap on decoded vector lengths: generous against any real snapshot, but
 /// small enough that a hostile length prefix cannot force an allocation.
@@ -407,6 +418,8 @@ impl MetricsSnapshot {
         self.retries += other.retries;
         self.batches += other.batches;
         self.coalesced += other.coalesced;
+        self.kernel_cache_hits += other.kernel_cache_hits;
+        self.kernel_cache_misses += other.kernel_cache_misses;
         self.queue_depth += other.queue_depth;
         self.workers_busy += other.workers_busy;
         self.connections_open += other.connections_open;
@@ -455,6 +468,8 @@ impl MetricsSnapshot {
             self.retries,
             self.batches,
             self.coalesced,
+            self.kernel_cache_hits,
+            self.kernel_cache_misses,
         ] {
             put_varint(&mut out, v);
         }
@@ -494,7 +509,9 @@ impl MetricsSnapshot {
         }
         let mut pos = 0usize;
         let mut next = || take_varint(rest, &mut pos);
-        let [accepted, rejected, completed, failed, retries, batches, coalesced] = [
+        let [accepted, rejected, completed, failed, retries, batches, coalesced, kernel_cache_hits, kernel_cache_misses] = [
+            next()?,
+            next()?,
             next()?,
             next()?,
             next()?,
@@ -547,6 +564,8 @@ impl MetricsSnapshot {
             retries,
             batches,
             coalesced,
+            kernel_cache_hits,
+            kernel_cache_misses,
             queue_depth,
             workers_busy,
             connections_open,
@@ -577,6 +596,16 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(f, "apim_serve_retries_total {}", self.retries)?;
         writeln!(f, "apim_serve_batches_total {}", self.batches)?;
         writeln!(f, "apim_serve_coalesced_total {}", self.coalesced)?;
+        writeln!(
+            f,
+            "apim_serve_kernel_cache_hits_total {}",
+            self.kernel_cache_hits
+        )?;
+        writeln!(
+            f,
+            "apim_serve_kernel_cache_misses_total {}",
+            self.kernel_cache_misses
+        )?;
         writeln!(f, "apim_serve_queue_depth {}", self.queue_depth)?;
         writeln!(f, "apim_serve_workers_busy {}", self.workers_busy)?;
         writeln!(f, "apim_serve_connections_open {}", self.connections_open)?;
@@ -684,6 +713,10 @@ mod tests {
         let b = Metrics::default();
         a.accepted.add(10);
         b.accepted.add(5);
+        a.kernel_cache_hits.add(30);
+        b.kernel_cache_hits.add(12);
+        a.kernel_cache_misses.add(2);
+        b.kernel_cache_misses.add(3);
         a.tenant(1).completed.add(3);
         b.tenant(1).completed.add(4);
         b.tenant(9).rejected.add(2); // striped alias of slot 1
@@ -696,6 +729,8 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.accepted, 15);
+        assert_eq!(merged.kernel_cache_hits, 42);
+        assert_eq!(merged.kernel_cache_misses, 5);
         assert_eq!(merged.tenants[1], (0, 2, 7));
         // The merged histogram holds the full 1..=100 µs ramp, so the
         // quantiles must equal a single histogram fed the same samples.
@@ -726,6 +761,8 @@ mod tests {
         m.rejected.add(17);
         m.completed.add(983);
         m.retries.add(5);
+        m.kernel_cache_hits.add(977);
+        m.kernel_cache_misses.add(6);
         m.queue_depth.set(-2); // exercises the zigzag path
         m.workers_busy.set(7);
         m.connections_open.set(12);
@@ -762,6 +799,14 @@ mod tests {
             MetricsSnapshot::decode(&[99]),
             Err(CodecError::UnsupportedVersion(99))
         );
+        // A version-2 peer's payload (no kernel-cache counters) is a
+        // structured version mismatch, never a misread snapshot.
+        let mut v2 = good.clone();
+        v2[0] = 2;
+        assert_eq!(
+            MetricsSnapshot::decode(&v2),
+            Err(CodecError::UnsupportedVersion(2))
+        );
         for cut in 1..good.len() {
             assert!(
                 MetricsSnapshot::decode(&good[..cut]).is_err(),
@@ -776,7 +821,7 @@ mod tests {
         );
         // A hostile bucket count must be rejected before allocation.
         let mut oversized = vec![SNAPSHOT_CODEC_VERSION];
-        oversized.extend(std::iter::repeat_n(0, 11));
+        oversized.extend(std::iter::repeat_n(0, 13)); // 9 counters, 4 gauges
         oversized.extend(std::iter::repeat_n(0xff, 10)); // varint ~ 2^70
         assert!(MetricsSnapshot::decode(&oversized).is_err());
     }
@@ -790,10 +835,14 @@ mod tests {
         m.latency.record(Duration::from_micros(500));
         m.connections_open.set(4);
         m.inflight_requests.set(19);
+        m.kernel_cache_hits.add(21);
+        m.kernel_cache_misses.add(2);
         let text = m.snapshot().to_string();
         assert!(text.contains("apim_serve_accepted_total 10"));
         assert!(text.contains("apim_serve_connections_open 4"));
         assert!(text.contains("apim_serve_inflight_requests 19"));
+        assert!(text.contains("apim_serve_kernel_cache_hits_total 21"));
+        assert!(text.contains("apim_serve_kernel_cache_misses_total 2"));
         assert!(text.contains("apim_serve_latency_p50_us 512"));
         assert!(text.contains("slot=\"3\""));
         assert!(text.contains("accepted=8"), "aliased stripe sums: {text}");

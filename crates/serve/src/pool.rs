@@ -12,7 +12,9 @@ use crate::metrics::Metrics;
 use crate::queue::{Intake, Job};
 use crate::request::{JobKind, JobOutput, Request, Response, ServeError};
 use apim::{Apim, ApimConfig, ApimError, App, PrecisionMode};
+use apim_compile::{BatchCompiledProgram, CompiledProgram};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -166,6 +168,65 @@ struct Shared {
     config: PoolConfig,
     next_id: AtomicU64,
     attempt_counter: AtomicU64,
+    kernels: KernelCache,
+}
+
+/// Pixel kernels compiled once per pool and shared by all its workers,
+/// keyed by `(app, lanes)`. The key space is closed — [`pixel_dag`] knows
+/// two apps, at 64 lane counts each — so the cache holds at most 128
+/// programs and never evicts. A program's crossbar lives only for one
+/// `run`, so every served pixel still executes on fresh cells and is
+/// linted on every run.
+#[derive(Debug, Default)]
+struct KernelCache {
+    /// `lanes = 1`: the steered [`apim_compile::compile`] program.
+    serial: Mutex<HashMap<App, Arc<CompiledProgram>>>,
+    /// `lanes` 2..=64: [`apim_compile::compile_batched`] programs.
+    batched: Mutex<HashMap<(App, usize), Arc<BatchCompiledProgram>>>,
+}
+
+impl Shared {
+    /// The serial program for `app`, compiled on first use.
+    fn serial_kernel(&self, app: App) -> Result<Arc<CompiledProgram>, String> {
+        self.cached_kernel(&self.kernels.serial, app, || {
+            apim_compile::compile(&pixel_dag(app)?, &apim_compile::CompileOptions::default())
+                .map_err(|e| e.to_string())
+        })
+    }
+
+    /// The `lanes`-lane program for `app`, compiled on first use.
+    fn batched_kernel(&self, app: App, lanes: usize) -> Result<Arc<BatchCompiledProgram>, String> {
+        self.cached_kernel(&self.kernels.batched, (app, lanes), || {
+            let options = apim_compile::CompileOptions::default();
+            apim_compile::compile_batched(&pixel_dag(app)?, &options, lanes)
+                .map_err(|e| e.to_string())
+        })
+    }
+
+    /// Looks `key` up in `map`, running `compile` on a miss. The compile
+    /// runs outside the lock; when two workers race on one key the first
+    /// insert wins and only it counts as a miss, so misses never exceed
+    /// the number of distinct keys.
+    fn cached_kernel<K: Eq + Hash, P>(
+        &self,
+        map: &Mutex<HashMap<K, Arc<P>>>,
+        key: K,
+        compile: impl FnOnce() -> Result<P, String>,
+    ) -> Result<Arc<P>, String> {
+        if let Some(program) = map.lock().expect("kernel cache lock").get(&key) {
+            self.metrics.kernel_cache_hits.inc();
+            return Ok(Arc::clone(program));
+        }
+        let compiled = Arc::new(compile()?);
+        let mut map = map.lock().expect("kernel cache lock");
+        if let Some(program) = map.get(&key) {
+            self.metrics.kernel_cache_hits.inc();
+            return Ok(Arc::clone(program));
+        }
+        self.metrics.kernel_cache_misses.inc();
+        map.insert(key, Arc::clone(&compiled));
+        Ok(compiled)
+    }
 }
 
 impl Pool {
@@ -192,6 +253,7 @@ impl Pool {
             config: config.clone(),
             next_id: AtomicU64::new(0),
             attempt_counter: AtomicU64::new(0),
+            kernels: KernelCache::default(),
         });
         let workers = (0..config.workers)
             .map(|index| {
@@ -361,7 +423,7 @@ impl Pool {
                         let mut memo = RunMemo::default();
                         let refs: Vec<&Request> = members.iter().map(|&i| &requests[i]).collect();
                         let mut pre = if shared.config.lane_batch {
-                            lane_batch_pixels(&refs)
+                            lane_batch_pixels(shared, &refs)
                         } else {
                             vec![None; members.len()]
                         };
@@ -473,7 +535,7 @@ fn worker_loop(shared: &Shared) {
         }
         let members: Vec<&Request> = batch.iter().map(|job| &job.request).collect();
         let mut pre = if shared.config.lane_batch {
-            lane_batch_pixels(&members)
+            lane_batch_pixels(shared, &members)
         } else {
             vec![None; size]
         };
@@ -619,7 +681,7 @@ fn attempt(
                 Ok(JobOutput::Mac { reports, batch })
             }
             JobKind::Compile { source } => run_compiled(source),
-            JobKind::Pixel { app, taps } => run_pixel_serial(*app, taps),
+            JobKind::Pixel { app, taps } => run_pixel_serial(shared, *app, taps),
             JobKind::Echo { payload } => Ok(JobOutput::Echo(*payload)),
         }
     }))
@@ -652,12 +714,12 @@ fn run_compiled(source: &str) -> Result<JobOutput, ServeError> {
     })
 }
 
-/// The compiled pixel-kernel DAG behind a [`JobKind::Pixel`] app.
-fn kernel_dag(app: App) -> Option<apim_compile::Dag> {
+/// The pixel-kernel DAG behind a [`JobKind::Pixel`] app.
+fn pixel_dag(app: App) -> Result<apim_compile::Dag, String> {
     match app {
-        App::Sharpen => Some(apim_workloads::dags::sharpen_dag()),
-        App::Sobel => Some(apim_workloads::dags::sobel_gradient_dag()),
-        _ => None,
+        App::Sharpen => Ok(apim_workloads::dags::sharpen_dag()),
+        App::Sobel => Ok(apim_workloads::dags::sobel_gradient_dag()),
+        _ => Err(format!("`{}` has no pixel kernel", app.name())),
     }
 }
 
@@ -680,20 +742,17 @@ fn bind_taps(
         .collect())
 }
 
-/// The serial pixel path: one compiled pass per pixel. This is both the
-/// fallback when a batch cannot lane-batch and the differential oracle the
-/// fast path is tested against.
-fn run_pixel_serial(app: App, taps: &[u64]) -> Result<JobOutput, ServeError> {
+/// The serial pixel path: one pass of the pool's cached serial program per
+/// pixel. This is both the fallback when a batch cannot lane-batch and the
+/// differential oracle the fast path is tested against.
+fn run_pixel_serial(shared: &Shared, app: App, taps: &[u64]) -> Result<JobOutput, ServeError> {
     let fail = |reason: String| ServeError::Failed {
         reason,
         attempts: 0,
     };
-    let dag =
-        kernel_dag(app).ok_or_else(|| fail(format!("`{}` has no pixel kernel", app.name())))?;
-    let compiled = apim_compile::compile(&dag, &apim_compile::CompileOptions::default())
-        .map_err(|e| fail(e.to_string()))?;
-    let report = compiled
-        .run(&bind_taps(&dag, taps)?)
+    let program = shared.serial_kernel(app).map_err(fail)?;
+    let report = program
+        .run(&bind_taps(program.dag(), taps)?)
         .map_err(|e| fail(e.to_string()))?;
     Ok(JobOutput::Pixel {
         value: report.value,
@@ -704,12 +763,13 @@ fn run_pixel_serial(app: App, taps: &[u64]) -> Result<JobOutput, ServeError> {
 
 /// The lane-batched fast path over one coalesced batch: groups the batch's
 /// pixel jobs by `(app, mode)` and answers each group that fits a word
-/// (2..=64 pixels) with a single [`apim_compile::compile_batched`] pass —
-/// one pixel per bitline lane, so the whole group costs one serial pixel's
+/// (2..=64 pixels) with a single pass of the pool's cached
+/// [`apim_compile::compile_batched`] program for that lane count — one
+/// pixel per bitline lane, so the whole group costs one serial pixel's
 /// cycles. Returns one pre-computed output slot per batch member; `None`
 /// slots (non-pixel jobs, singleton groups, any compile or run failure)
 /// fall back to the per-job serial path.
-fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
+fn lane_batch_pixels(shared: &Shared, requests: &[&Request]) -> Vec<Option<JobOutput>> {
     // Bitline lanes in one packed word — compile_batched's upper bound.
     const MAX_LANES: usize = 64;
     let mut out: Vec<Option<JobOutput>> = vec![None; requests.len()];
@@ -727,13 +787,13 @@ fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
         if !(2..=MAX_LANES).contains(&members.len()) {
             continue;
         }
-        let Some(dag) = kernel_dag(app) else {
+        let Ok(program) = shared.batched_kernel(app, members.len()) else {
             continue;
         };
         let Ok(bindings) = members
             .iter()
             .filter_map(|&i| match &requests[i].kind {
-                JobKind::Pixel { taps, .. } => Some(bind_taps(&dag, taps)),
+                JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
                 _ => None,
             })
             .collect::<Result<Vec<_>, _>>()
@@ -743,10 +803,6 @@ fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
         if bindings.len() != members.len() {
             continue;
         }
-        let options = apim_compile::CompileOptions::default();
-        let Ok(program) = apim_compile::compile_batched(&dag, &options, members.len()) else {
-            continue;
-        };
         let Ok(report) = program.run(&bindings) else {
             continue;
         };

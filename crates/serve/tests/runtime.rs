@@ -480,3 +480,138 @@ fn submitted_pixel_batches_answer_every_lane() {
     }
     pool.shutdown();
 }
+
+/// The pool's compiled-kernel cache is invisible in results: every pixel
+/// served from a cached program — serial singletons and coalesced batches,
+/// sharpen at two lane counts — equals a fresh `compile` or
+/// `compile_batched` plus `run` on the same taps, and the exported
+/// counters account for every kernel run.
+#[test]
+fn cached_pixel_kernels_match_fresh_compiles() {
+    use apim_compile::{compile, compile_batched, CompileOptions, Dag};
+    use apim_serve::JobOutput;
+    use std::collections::{HashMap, HashSet};
+
+    fn dag(app: App) -> Dag {
+        match app {
+            App::Sharpen => apim_workloads::dags::sharpen_dag(),
+            _ => apim_workloads::dags::sobel_gradient_dag(),
+        }
+    }
+    fn bind(dag: &Dag, taps: &[u64]) -> HashMap<String, u64> {
+        dag.inputs()
+            .iter()
+            .zip(taps)
+            .map(|(name, &tap)| (name.to_string(), tap))
+            .collect()
+    }
+    let taps = |app: App, i: u64| match app {
+        App::Sharpen => vec![100 + i, 3 + i, 5 + i, 7 + i, 11 + i],
+        _ => vec![1 + i, 40 + i, 2 + i, 50 + i, 3 + i, 60 + i],
+    };
+    let pixel = |app: App, i: u64| {
+        Request::new(JobKind::Pixel {
+            app,
+            taps: taps(app, i),
+        })
+    };
+
+    let pool = Pool::new(PoolConfig {
+        workers: 2,
+        max_batch: 64,
+        ..PoolConfig::default()
+    })
+    .expect("valid pool");
+    // Every served pixel with the taps of the whole pass that answered it
+    // and its lane in that pass.
+    let mut served: Vec<(App, Vec<Vec<u64>>, usize, JobOutput)> = Vec::new();
+    let mut runs = 0u64;
+    let mut keys = HashSet::new();
+
+    // Singletons: one submit at a time, so every pop is a batch of one and
+    // takes the serial path.
+    for i in 0..3 {
+        for app in [App::Sharpen, App::Sobel] {
+            let response = pool.submit(pixel(app, i)).expect("queue has room").wait();
+            let output = response.result.expect("singleton pixel serves");
+            served.push((app, vec![taps(app, i)], 0, output));
+            runs += 1;
+            keys.insert((app, 1));
+        }
+    }
+    // Coalesced batches: `run_all` lane-batches each app's group whole.
+    // Each shape is served twice with new taps, so the second round hits.
+    for round in 0..2u64 {
+        for shape in [
+            &[(App::Sharpen, 8), (App::Sobel, 3)][..],
+            &[(App::Sharpen, 5)],
+        ] {
+            let mut requests = Vec::new();
+            let mut groups = Vec::new();
+            for &(app, lanes) in shape {
+                let group: Vec<u64> = (0..lanes).map(|i| 10 * round + i).collect();
+                requests.extend(group.iter().map(|&i| pixel(app, i)));
+                groups.extend((0..lanes).map(|lane| (app, group.clone(), lane as usize)));
+                runs += 1;
+                keys.insert((app, lanes as usize));
+            }
+            let responses = pool.run_all(requests).expect("run_all");
+            for (response, (app, group, lane)) in responses.into_iter().zip(groups) {
+                let output = response.result.expect("batched pixel serves");
+                let group_taps = group.iter().map(|&i| taps(app, i)).collect();
+                served.push((app, group_taps, lane, output));
+            }
+        }
+    }
+
+    let options = CompileOptions::default();
+    for (app, group, lane, output) in &served {
+        let dag = dag(*app);
+        let (value, cycles) = if group.len() == 1 {
+            let report = compile(&dag, &options)
+                .expect("compile")
+                .run(&bind(&dag, &group[0]))
+                .expect("fresh serial run");
+            (report.value, report.cycles)
+        } else {
+            let bindings: Vec<_> = group.iter().map(|t| bind(&dag, t)).collect();
+            let report = compile_batched(&dag, &options, group.len())
+                .expect("compile_batched")
+                .run(&bindings)
+                .expect("fresh batched run");
+            (report.values[*lane], report.cycles)
+        };
+        match output {
+            JobOutput::Pixel {
+                value: v,
+                cycles: c,
+                lanes: l,
+            } => assert_eq!(
+                (*v, *c, *l),
+                (value, cycles, group.len()),
+                "{app:?} lane {lane} of {}",
+                group.len()
+            ),
+            other => panic!("unexpected output {other:?}"),
+        }
+    }
+
+    let snapshot = pool.metrics().snapshot();
+    assert!(snapshot.kernel_cache_misses >= 1);
+    assert!(
+        snapshot.kernel_cache_misses <= keys.len() as u64,
+        "{} misses for {} distinct keys",
+        snapshot.kernel_cache_misses,
+        keys.len()
+    );
+    assert_eq!(
+        snapshot.kernel_cache_hits,
+        runs - snapshot.kernel_cache_misses
+    );
+    let text = snapshot.to_string();
+    assert!(text.contains(&format!(
+        "apim_serve_kernel_cache_hits_total {}",
+        snapshot.kernel_cache_hits
+    )));
+    pool.shutdown();
+}
