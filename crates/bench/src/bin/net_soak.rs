@@ -1,5 +1,6 @@
-//! Sustained cluster-transport soak: pipelined multiplexed RPC vs the
-//! blocking thread-per-connection baseline, on echo probes so the
+//! Sustained cluster-transport soak: a pipelined window of multiplexed
+//! RPCs vs the closed-loop baseline (one thread per stream, one RPC at a
+//! time) over the same event-loop transport, on echo probes so the
 //! measurement isolates transport cost. Writes `BENCH_net.json`.
 //!
 //! ```text
@@ -9,9 +10,9 @@
 //!
 //! The full soak pushes 100k requests over 1000 concurrent logical
 //! streams. Both modes *gate* on zero lost requests and bit-identical
-//! checksums across transports; on multi-core machines they additionally
-//! gate on pipelined p99 latency and on the pipelined transport clearing
-//! at least 2x the blocking baseline's throughput (timing gates are
+//! checksums across drivers; on multi-core machines they additionally
+//! gate on pipelined p99 latency and on the pipelined window clearing at
+//! least 2x the closed-loop baseline's throughput (timing gates are
 //! skipped on single-core machines, where scheduling noise dominates).
 
 use apim_cluster::loadgen::{soak, SoakConfig, SoakReport};
@@ -23,7 +24,7 @@ use std::process::ExitCode;
 /// stream's request in flight, so queueing delay dominates — but low
 /// enough to catch an event loop that stalls connections.
 const P99_GATE_US: u64 = 200_000;
-/// Required pipelined-over-blocking throughput ratio.
+/// Required pipelined-over-baseline throughput ratio.
 const SPEEDUP_GATE: f64 = 2.0;
 
 fn render(report: &SoakReport) -> String {
@@ -57,16 +58,16 @@ fn side_json(report: &SoakReport) -> String {
     )
 }
 
-fn to_json(pipelined: &SoakReport, blocking: &SoakReport, speedup: f64) -> String {
+fn to_json(pipelined: &SoakReport, baseline: &SoakReport, speedup: f64) -> String {
     format!(
         "{{\n  \"requests\": {},\n  \"streams\": {},\n  \"pipelined\": {},\n  \
-         \"blocking\": {},\n  \"speedup\": {:.2},\n  \"checksum_match\": {}\n}}\n",
+         \"baseline\": {},\n  \"speedup\": {:.2},\n  \"checksum_match\": {}\n}}\n",
         pipelined.offered,
         pipelined.streams,
         side_json(pipelined),
-        side_json(blocking),
+        side_json(baseline),
         speedup,
-        pipelined.checksum == blocking.checksum,
+        pipelined.checksum == baseline.checksum,
     )
 }
 
@@ -91,34 +92,34 @@ fn main() -> ExitCode {
 
     let pipelined = soak(&config).expect("pipelined soak");
     println!("pipelined  {}", render(&pipelined));
-    let blocking = soak(&SoakConfig {
+    let baseline = soak(&SoakConfig {
         pipelined: false,
         ..config.clone()
     })
-    .expect("blocking soak");
-    println!("blocking   {}", render(&blocking));
-    let speedup = pipelined.throughput_rps / blocking.throughput_rps.max(1e-9);
-    println!("pipelined/blocking throughput: {speedup:.2}x");
+    .expect("closed-loop soak");
+    println!("baseline   {}", render(&baseline));
+    let speedup = pipelined.throughput_rps / baseline.throughput_rps.max(1e-9);
+    println!("pipelined/baseline throughput: {speedup:.2}x");
 
     if !quick {
-        fs::write("BENCH_net.json", to_json(&pipelined, &blocking, speedup))
+        fs::write("BENCH_net.json", to_json(&pipelined, &baseline, speedup))
             .expect("write BENCH_net.json");
         println!("wrote BENCH_net.json");
     }
 
     // Correctness gates hold on any machine.
-    if !pipelined.passed() || !blocking.passed() {
-        eprintln!("FAIL: soak lost or rejected requests\n{pipelined}\n{blocking}");
+    if !pipelined.passed() || !baseline.passed() {
+        eprintln!("FAIL: soak lost or rejected requests\n{pipelined}\n{baseline}");
         return ExitCode::FAILURE;
     }
-    if pipelined.checksum != blocking.checksum {
+    if pipelined.checksum != baseline.checksum {
         eprintln!(
-            "FAIL: transports disagree: pipelined checksum {:#018x} != blocking {:#018x}",
-            pipelined.checksum, blocking.checksum
+            "FAIL: drivers disagree: pipelined checksum {:#018x} != baseline {:#018x}",
+            pipelined.checksum, baseline.checksum
         );
         return ExitCode::FAILURE;
     }
-    println!("gate ok: zero lost on both transports, checksums bit-identical");
+    println!("gate ok: zero lost on both drivers, checksums bit-identical");
 
     // Timing gates need real parallelism to mean anything.
     if cores >= 2 {
@@ -131,12 +132,13 @@ fn main() -> ExitCode {
         }
         if speedup < SPEEDUP_GATE {
             eprintln!(
-                "FAIL: pipelined throughput only {speedup:.2}x blocking (need >= {SPEEDUP_GATE}x)"
+                "FAIL: pipelined throughput only {speedup:.2}x closed-loop baseline \
+                 (need >= {SPEEDUP_GATE}x)"
             );
             return ExitCode::FAILURE;
         }
         println!(
-            "gate ok: p99 {} µs <= {} µs, throughput {:.2}x >= {}x blocking",
+            "gate ok: p99 {} µs <= {} µs, throughput {:.2}x >= {}x closed-loop baseline",
             pipelined.p99_us, P99_GATE_US, speedup, SPEEDUP_GATE
         );
     } else {

@@ -138,9 +138,6 @@ pub enum Command {
         queue_depth: Option<usize>,
         /// Serve for this many seconds then shut down (`None` = forever).
         for_secs: Option<u64>,
-        /// Connection transport: the poll-based event loop (default) or
-        /// the blocking thread-per-connection baseline.
-        transport: apim_cluster::Transport,
     },
     /// Seeded load generator against running cluster nodes.
     ClusterLoadgen {
@@ -230,7 +227,6 @@ USAGE:
   apim-cli serve <file> [--workers N] [--queue-depth N]
   apim-cli loadgen [--requests N] [--workers N] [--seed S] [--queue-depth N]
   apim-cli node [--addr H:P] [--workers N] [--queue-depth N] [--for-secs S]
-                [--transport event-loop|blocking]
   apim-cli cluster-loadgen --nodes a:p,b:p[,...] [--requests N] [--seed S]
                            [--concurrency C]
   apim-cli cluster-smoke [--nodes N] [--requests N] [--workers N] [--seed S]
@@ -589,22 +585,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             "node" => {
                 let mut addr = "127.0.0.1:7751".to_string();
                 let mut for_secs = None;
-                let mut transport = apim_cluster::Transport::EventLoop;
                 let (workers, queue_depth) = parse_pool_flags(rest, |flag, value| {
                     match flag {
                         "--addr" => addr = value.to_string(),
                         "--for-secs" => for_secs = Some(parse_u64(value, "duration")?),
-                        "--transport" => {
-                            transport = match value {
-                                "event-loop" => apim_cluster::Transport::EventLoop,
-                                "blocking" => apim_cluster::Transport::Blocking,
-                                other => {
-                                    return Err(ParseError(format!(
-                                    "unknown transport `{other}` (expected event-loop or blocking)"
-                                )))
-                                }
-                            }
-                        }
                         _ => return Ok(false),
                     }
                     Ok(true)
@@ -614,7 +598,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     workers,
                     queue_depth,
                     for_secs,
-                    transport,
                 })
             }
             "cluster-loadgen" => {
@@ -1603,12 +1586,10 @@ pub fn execute(command: &Command) -> Result<String, apim::ApimError> {
             workers,
             queue_depth,
             for_secs,
-            transport,
         } => {
             let node = apim_cluster::Node::spawn(apim_cluster::NodeConfig {
                 addr: addr.clone(),
                 pool: pool_config(*workers, *queue_depth),
-                transport: *transport,
                 ..apim_cluster::NodeConfig::default()
             })
             .map_err(|e| apim::ApimError::Runtime(format!("cannot start node: {e}")))?;
@@ -2060,13 +2041,11 @@ mod tests {
                 workers: None,
                 queue_depth: None,
                 for_secs: None,
-                transport: apim_cluster::Transport::EventLoop,
             }
         );
         assert_eq!(
             parse(&args(
-                "node --addr 0.0.0.0:9000 --workers 4 --queue-depth 32 --for-secs 2 \
-                 --transport blocking"
+                "node --addr 0.0.0.0:9000 --workers 4 --queue-depth 32 --for-secs 2"
             ))
             .unwrap(),
             Command::Node {
@@ -2074,22 +2053,10 @@ mod tests {
                 workers: Some(4),
                 queue_depth: Some(32),
                 for_secs: Some(2),
-                transport: apim_cluster::Transport::Blocking,
-            }
-        );
-        assert_eq!(
-            parse(&args("node --transport event-loop")).unwrap(),
-            Command::Node {
-                addr: "127.0.0.1:7751".into(),
-                workers: None,
-                queue_depth: None,
-                for_secs: None,
-                transport: apim_cluster::Transport::EventLoop,
             }
         );
         assert!(parse(&args("node --addr")).is_err());
         assert!(parse(&args("node --frob 3")).is_err());
-        assert!(parse(&args("node --transport carrier-pigeon")).is_err());
     }
 
     #[test]

@@ -7,34 +7,28 @@
 //! fleet-wide — and (b) losing a node only remaps the tenants it owned,
 //! not the whole fleet.
 //!
-//! The transport is **multiplexed and pipelined** by default: each node
-//! gets up to [`ClusterConfig::conns_per_node`] [`mux`](crate::mux)
-//! connections, each carrying any number of concurrent logical request
-//! streams tagged by correlation id, so a caller never waits behind an
-//! unrelated request for a socket. [`ClusterClient::begin_submit`]
-//! exposes the pipeline directly: issue without waiting, harvest
-//! responses out of order. Setting [`ClusterConfig::pipelined`] to
-//! `false` selects the original blocking one-RPC-at-a-time connection
-//! pool — kept as the comparison baseline for the net soak benchmark.
+//! The transport is **multiplexed and pipelined**: each node gets up to
+//! [`ClusterConfig::conns_per_node`] multiplexed (`mux`) connections,
+//! each carrying any number of concurrent logical request streams tagged
+//! by correlation id, so a caller never waits behind an unrelated request
+//! for a socket. [`ClusterClient::begin_submit`] exposes the pipeline
+//! directly: issue without waiting, harvest responses out of order.
 //!
 //! Failover is transport-level only: a connection failure (dead node,
 //! severed mid-RPC) marks the node down and retries the request on the
 //! next distinct node along the ring with capped exponential backoff.
 //! *Admission* rejections (overload, quota, deadline) are answered to the
 //! caller unchanged — forwarding a quota rejection to a non-home node
-//! would silently defeat the quota it enforces. An optional hedge fires
-//! a duplicate RPC at the next replica when the primary has not answered
-//! within a configured delay; first success wins.
+//! would silently defeat the quota it enforces.
 
 use crate::mux::{MuxConn, PendingRpc};
-use crate::wire::{self, Message, RecvError, WireOutput};
+use crate::wire::{self, Message, WireOutput};
 use apim_serve::{Request, ServeError, TenantId};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -61,16 +55,8 @@ pub struct ClusterConfig {
     /// Background health-check period; `None` disables the checker (nodes
     /// are then only marked down by failed RPCs and revived by retries).
     pub health_interval: Option<Duration>,
-    /// Launch a duplicate RPC on the next replica when the primary has
-    /// not answered within this delay; `None` disables hedging.
-    pub hedge_after: Option<Duration>,
-    /// Connections kept per node. Pipelined: the multiplexed sockets RPCs
-    /// round-robin over. Blocking: the warm-pool bound (extra concurrent
-    /// RPCs just open extra connections).
+    /// Multiplexed connections kept per node; RPCs round-robin over them.
     pub conns_per_node: usize,
-    /// `true` (default): multiplexed connections with pipelined RPCs.
-    /// `false`: the blocking thread-per-RPC connection pool baseline.
-    pub pipelined: bool,
 }
 
 impl Default for ClusterConfig {
@@ -84,9 +70,7 @@ impl Default for ClusterConfig {
             rpc_timeout: Duration::from_secs(10),
             connect_timeout: Duration::from_secs(1),
             health_interval: Some(Duration::from_millis(100)),
-            hedge_after: None,
             conns_per_node: 4,
-            pipelined: true,
         }
     }
 }
@@ -170,8 +154,6 @@ pub struct ClientStats {
     pub transport_failures: u64,
     /// Requests that failed over to another node at least once.
     pub failovers: u64,
-    /// Hedged duplicate RPCs launched.
-    pub hedges: u64,
 }
 
 #[derive(Debug, Default)]
@@ -181,16 +163,12 @@ struct StatsCells {
     rejected: AtomicU64,
     transport_failures: AtomicU64,
     failovers: AtomicU64,
-    hedges: AtomicU64,
 }
 
-/// One configured node: address, up/down belief, connections (multiplexed
-/// and blocking pools both live here; only the configured transport's pool
-/// is populated).
+/// One configured node: address, up/down belief, multiplexed connections.
 struct NodeSlot {
     addr: String,
     up: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
     muxes: Mutex<Vec<Arc<MuxConn>>>,
     rr: AtomicU64,
 }
@@ -250,7 +228,6 @@ impl ClusterClient {
             .map(|addr| NodeSlot {
                 addr: addr.clone(),
                 up: AtomicBool::new(true),
-                conns: Mutex::new(Vec::new()),
                 muxes: Mutex::new(Vec::new()),
                 rr: AtomicU64::new(0),
             })
@@ -348,15 +325,15 @@ impl ClusterClient {
                 std::thread::sleep(backoff);
             }
             attempts += 1;
-            match self.attempt_with_hedge(node, order.get(position + 1).copied(), request) {
-                Ok((winner, reply)) => match reply.result {
+            match rpc_submit(inner, node, request) {
+                Ok(reply) => match reply.result {
                     Ok(output) => {
                         inner.stats.succeeded.fetch_add(1, Ordering::Relaxed);
                         if failovers > 0 {
                             inner.stats.failovers.fetch_add(1, Ordering::Relaxed);
                         }
                         return Ok(ClusterResponse {
-                            node: winner,
+                            node,
                             output,
                             attempts: reply.attempts,
                             node_latency_us: reply.latency_us,
@@ -396,15 +373,9 @@ impl ClusterClient {
     /// # Errors
     ///
     /// [`ClusterError::Unavailable`] when no connection to the home node
-    /// could be opened; [`ClusterError::Protocol`] when the client was
-    /// configured with `pipelined: false`.
+    /// could be opened.
     pub fn begin_submit(&self, request: &Request) -> Result<PendingSubmit, ClusterError> {
         let inner = &self.inner;
-        if !inner.config.pipelined {
-            return Err(ClusterError::Protocol(
-                "begin_submit requires the pipelined transport".into(),
-            ));
-        }
         inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let node = self.route(request.tenant)[0];
         let mux = mux_for(inner, node).map_err(|last| {
@@ -425,51 +396,6 @@ impl ClusterClient {
             rpc: mux.begin(seq, &message),
             inner: Arc::clone(inner),
         })
-    }
-
-    /// One RPC, optionally racing a hedged duplicate on `backup`.
-    fn attempt_with_hedge(
-        &self,
-        primary: usize,
-        backup: Option<usize>,
-        request: &Request,
-    ) -> Result<(usize, wire::Reply), String> {
-        let inner = &self.inner;
-        let (Some(hedge_after), Some(backup)) = (inner.config.hedge_after, backup) else {
-            return rpc_submit(inner, primary, request).map(|r| (primary, r));
-        };
-        let (tx, rx) = mpsc::channel();
-        let settled = Arc::new(AtomicBool::new(false));
-        for (delay, node) in [(None, primary), (Some(hedge_after), backup)] {
-            let tx = tx.clone();
-            let inner = Arc::clone(&self.inner);
-            let request = request.clone();
-            let settled = Arc::clone(&settled);
-            std::thread::spawn(move || {
-                if let Some(delay) = delay {
-                    std::thread::sleep(delay);
-                    // The primary came back while we slept: stand down.
-                    if settled.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    inner.stats.hedges.fetch_add(1, Ordering::Relaxed);
-                }
-                let outcome = rpc_submit(&inner, node, request);
-                settled.store(true, Ordering::Relaxed);
-                let _ = tx.send((node, outcome));
-            });
-        }
-        drop(tx);
-        let mut last = String::from("hedge channel closed");
-        // First success wins; the loser's result (or double execution) is
-        // discarded — requests are idempotent simulator calls.
-        for (node, outcome) in rx {
-            match outcome {
-                Ok(reply) => return Ok((node, reply)),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
     }
 
     /// Pulls every node's metrics snapshot; unreachable nodes are listed,
@@ -507,7 +433,6 @@ impl ClusterClient {
             rejected: s.rejected.load(Ordering::Relaxed),
             transport_failures: s.transport_failures.load(Ordering::Relaxed),
             failovers: s.failovers.load(Ordering::Relaxed),
-            hedges: s.hedges.load(Ordering::Relaxed),
         }
     }
 
@@ -683,68 +608,21 @@ fn request_correlation(message: &Message) -> u64 {
     }
 }
 
-/// Checks out a warm blocking connection or opens a fresh one.
-fn checkout(inner: &ClientInner, node: usize) -> Result<TcpStream, String> {
-    if let Some(conn) = inner.nodes[node].conns.lock().expect("conn pool").pop() {
-        return Ok(conn);
-    }
-    let addr = resolve(&inner.nodes[node].addr)?;
-    let stream = TcpStream::connect_timeout(&addr, inner.config.connect_timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(inner.config.rpc_timeout))
-        .map_err(|e| e.to_string())?;
-    Ok(stream)
-}
-
-/// Returns a healthy blocking connection to the warm pool (bounded).
-fn checkin(inner: &ClientInner, node: usize, conn: TcpStream) {
-    let mut pool = inner.nodes[node].conns.lock().expect("conn pool");
-    if pool.len() < inner.config.conns_per_node {
-        pool.push(conn);
-    }
-}
-
-/// One request/response exchange over the configured transport.
+/// One request/response exchange on a multiplexed connection to `node`.
 fn rpc(inner: &ClientInner, node: usize, message: &Message) -> Result<Message, String> {
-    if inner.config.pipelined {
-        let mux = mux_for(inner, node)?;
-        mux.call(
-            request_correlation(message),
-            message,
-            inner.config.rpc_timeout,
-        )
-    } else {
-        rpc_blocking(inner, node, message)
-    }
-}
-
-/// One exchange on a checked-out blocking connection. Any failure discards
-/// the connection (its stream state is unknown).
-fn rpc_blocking(inner: &ClientInner, node: usize, message: &Message) -> Result<Message, String> {
-    let mut conn = checkout(inner, node)?;
-    wire::write_message(&mut conn, message).map_err(|e| format!("send: {e}"))?;
-    match wire::read_message(&mut conn) {
-        Ok(answer) => {
-            checkin(inner, node, conn);
-            Ok(answer)
-        }
-        Err(RecvError::Io(e)) => Err(format!("recv: {e}")),
-        Err(RecvError::Wire(e)) => Err(format!("recv protocol: {e}")),
-    }
+    mux_for(inner, node)?.call(
+        request_correlation(message),
+        message,
+        inner.config.rpc_timeout,
+    )
 }
 
 /// A submit RPC with correlation-id checking.
-fn rpc_submit(
-    inner: &ClientInner,
-    node: usize,
-    request: impl std::borrow::Borrow<Request>,
-) -> Result<wire::Reply, String> {
+fn rpc_submit(inner: &ClientInner, node: usize, request: &Request) -> Result<wire::Reply, String> {
     let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
     let message = Message::Submit {
         seq,
-        request: request.borrow().clone(),
+        request: request.clone(),
     };
     match rpc(inner, node, &message)? {
         Message::Reply { seq: got, reply } if got == seq => Ok(reply),

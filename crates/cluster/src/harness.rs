@@ -4,7 +4,7 @@
 //! failover picks up every request.
 
 use crate::client::{ClusterClient, ClusterConfig, ClusterError};
-use crate::node::{Node, NodeConfig, Transport};
+use crate::node::{Node, NodeConfig};
 use apim_serve::PoolConfig;
 use std::io;
 use std::time::Duration;
@@ -17,34 +17,18 @@ pub struct LoopbackCluster {
 }
 
 impl LoopbackCluster {
-    /// Spawns `n` nodes, each wrapping a pool built from `pool`, on the
-    /// default (event-loop) transport.
+    /// Spawns `n` nodes, each wrapping a pool built from `pool`.
     ///
     /// # Errors
     ///
     /// Propagates bind/spawn failures.
     pub fn spawn(n: usize, pool: &PoolConfig) -> io::Result<LoopbackCluster> {
-        LoopbackCluster::spawn_with_transport(n, pool, Transport::EventLoop)
-    }
-
-    /// Spawns `n` nodes on an explicit transport — the blocking variant is
-    /// the baseline side of the net soak comparison.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/spawn failures.
-    pub fn spawn_with_transport(
-        n: usize,
-        pool: &PoolConfig,
-        transport: Transport,
-    ) -> io::Result<LoopbackCluster> {
         let mut nodes = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for _ in 0..n {
             let node = Node::spawn(NodeConfig {
                 addr: "127.0.0.1:0".into(),
                 pool: pool.clone(),
-                transport,
                 ..NodeConfig::default()
             })?;
             addrs.push(node.addr().to_string());

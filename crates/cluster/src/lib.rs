@@ -8,10 +8,7 @@
 //! runtime: the node daemon runs a poll-based event loop (the `apim-net`
 //! crate) that services every connection from one thread, and the client
 //! multiplexes many logical request streams — tagged by correlation id —
-//! over a handful of pipelined sockets. The original blocking
-//! thread-per-connection transport survives behind
-//! [`node::Transport::Blocking`] / [`ClusterConfig::pipelined`]` = false`
-//! as the comparison baseline for the net soak benchmark.
+//! over a handful of pipelined sockets.
 //!
 //! - [`wire`] — the length-prefixed, versioned binary protocol. Strict
 //!   bounds-checked decoding: malformed frames produce structured
@@ -20,13 +17,12 @@
 //!   served by an event loop with per-connection pipelining and
 //!   backpressure.
 //! - [`client`] — the router: consistent hashing on tenant id, health
-//!   checks, failover with capped backoff, optional hedged sends,
-//!   multiplexed pipelined RPC.
+//!   checks, failover with capped backoff, multiplexed pipelined RPC.
 //! - [`fleet`] — per-node metrics snapshots merged into exact
 //!   fleet-wide quantiles.
 //! - [`harness`] — in-process loopback fleet for deterministic tests.
 //! - [`loadgen`] — cluster load generation, the kill-a-node smoke gate
-//!   and the pipelined soak driver.
+//!   and the soak driver (pipelined window or closed loop).
 
 #![deny(missing_docs)]
 
@@ -43,4 +39,4 @@ pub use client::{
 };
 pub use fleet::FleetSnapshot;
 pub use harness::LoopbackCluster;
-pub use node::{Node, NodeConfig, Transport};
+pub use node::{Node, NodeConfig};

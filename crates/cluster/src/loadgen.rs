@@ -7,14 +7,14 @@
 //! the responses are in, and require that **every** submitted request is
 //! still answered successfully — failover must hide the loss completely.
 //! [`soak`] is the sustained transport stressor: many thousands of echo
-//! requests over many concurrent logical streams, driven either through
-//! the pipelined multiplexed transport or the blocking baseline so the
-//! two are directly comparable.
+//! requests over many concurrent logical streams, driven either as a
+//! pipelined window from a few threads or as the closed-loop baseline (one
+//! thread per stream, each waiting out its RPC), so the two are directly
+//! comparable over the same transport.
 
 use crate::client::{ClusterClient, ClusterConfig, ClusterError, PendingSubmit};
 use crate::fleet::FleetSnapshot;
 use crate::harness::LoopbackCluster;
-use crate::node::Transport;
 use apim_serve::{loadgen::request_mix, JobKind, PoolConfig, Request, TenantId};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -292,9 +292,11 @@ pub struct SoakConfig {
     pub nodes: usize,
     /// Worker threads per node pool.
     pub workers: usize,
-    /// `true`: multiplexed pipelined transport over event-loop nodes.
-    /// `false`: the blocking thread-per-connection baseline (stream count
-    /// capped at [`SoakConfig::MAX_BLOCKING_THREADS`] OS threads).
+    /// `true`: a pipelined window — every stream's request in flight at
+    /// once via [`ClusterClient::begin_submit`]. `false`: the closed-loop
+    /// baseline — one thread per stream (capped at
+    /// [`SoakConfig::MAX_CLOSED_LOOP_THREADS`]) through
+    /// [`ClusterClient::submit`].
     pub pipelined: bool,
     /// Driver threads sharing the logical streams (pipelined mode only —
     /// the whole point is that stream count and thread count decouple).
@@ -302,8 +304,8 @@ pub struct SoakConfig {
 }
 
 impl SoakConfig {
-    /// OS-thread cap for the blocking baseline driver.
-    pub const MAX_BLOCKING_THREADS: usize = 256;
+    /// OS-thread cap for the closed-loop baseline driver.
+    pub const MAX_CLOSED_LOOP_THREADS: usize = 256;
 }
 
 impl Default for SoakConfig {
@@ -329,12 +331,12 @@ pub struct SoakReport {
     /// Requests rejected by admission control (queues are sized so this
     /// should stay zero).
     pub rejected: u64,
-    /// Requests lost: transport failure that even a blocking failover
-    /// retry could not recover.
+    /// Requests lost: transport failure that even a failover retry
+    /// through [`ClusterClient::submit`] could not recover.
     pub lost: u64,
     /// Concurrent logical streams driven.
     pub streams: usize,
-    /// Which transport was driven.
+    /// Which driver ran: the pipelined window or the closed loop.
     pub pipelined: bool,
     /// Wall-clock time, first submission to last response.
     pub elapsed: Duration,
@@ -344,7 +346,7 @@ pub struct SoakReport {
     pub p50_us: u64,
     /// 99th-percentile end-to-end request latency, µs.
     pub p99_us: u64,
-    /// XOR of every successful result digest — identical across transports
+    /// XOR of every successful result digest — identical across drivers
     /// for the same request count, so the baseline comparison also checks
     /// bit-identity.
     pub checksum: u64,
@@ -368,7 +370,7 @@ impl fmt::Display for SoakReport {
             if self.pipelined {
                 "pipelined"
             } else {
-                "blocking"
+                "closed-loop"
             },
             self.offered,
             self.streams,
@@ -434,15 +436,16 @@ fn soak_request(index: u64, stream: usize) -> Request {
     Request::new(JobKind::Echo { payload: index }).tenant(TenantId(stream as u16))
 }
 
-/// Spawns a loopback fleet on the configured transport and pushes
-/// [`SoakConfig::requests`] echo requests through it from
-/// [`SoakConfig::streams`] concurrent logical streams.
+/// Spawns a loopback fleet and pushes [`SoakConfig::requests`] echo
+/// requests through it from [`SoakConfig::streams`] concurrent logical
+/// streams.
 ///
 /// Pipelined mode keeps every stream's request in flight from a handful
 /// of driver threads via [`ClusterClient::begin_submit`]; a pipelined
-/// transport failure is retried once through the blocking failover path
-/// before the request counts as lost. Blocking mode is the classic
-/// closed-loop thread-per-stream driver.
+/// transport failure is retried once through the failover path of
+/// [`ClusterClient::submit`] before the request counts as lost.
+/// Closed-loop mode is the thread-per-stream baseline, each thread
+/// waiting out one [`ClusterClient::submit`] before issuing the next.
 ///
 /// # Errors
 ///
@@ -457,15 +460,8 @@ pub fn soak(config: &SoakConfig) -> Result<SoakReport, ClusterError> {
         queue_depth: (streams * 2 + 64).max(1024),
         ..PoolConfig::default()
     };
-    let transport = if config.pipelined {
-        Transport::EventLoop
-    } else {
-        Transport::Blocking
-    };
-    let cluster = LoopbackCluster::spawn_with_transport(config.nodes.max(1), &pool, transport)
-        .map_err(ClusterError::Io)?;
+    let cluster = LoopbackCluster::spawn(config.nodes.max(1), &pool).map_err(ClusterError::Io)?;
     let mut client_config = cluster.client_config();
-    client_config.pipelined = config.pipelined;
     // Spread heavy stream counts over more multiplexed sockets so no
     // single connection carries the whole pipeline.
     client_config.conns_per_node = (streams / 128).clamp(4, 32);
@@ -479,7 +475,7 @@ pub fn soak(config: &SoakConfig) -> Result<SoakReport, ClusterError> {
     if config.pipelined {
         drive_pipelined(config, streams, &client, &next, total, &tally);
     } else {
-        drive_blocking(streams, &client, &next, total, &tally);
+        drive_closed_loop(streams, &client, &next, total, &tally);
     }
     let elapsed = started.elapsed();
     let fleet = client.pull_metrics()?;
@@ -538,8 +534,8 @@ fn drive_pipelined(
                             if let Some(outcome) = pending.try_complete() {
                                 let (begun, index) = (*begun, *index);
                                 // A transport failure gets one recovery
-                                // pass through the blocking failover path
-                                // before it may count as lost.
+                                // pass through the failover path of
+                                // `submit` before it may count as lost.
                                 let outcome = match outcome {
                                     Err(e) if !matches!(e, ClusterError::Rejected(_)) => {
                                         client.submit(&soak_request(index, base + slot_index))
@@ -569,7 +565,7 @@ fn drive_pipelined(
                                     progress = true;
                                 }
                                 // No connection right now: recover through
-                                // the blocking failover path so the
+                                // the failover path of `submit` so the
                                 // request is never lost silently.
                                 Err(_) => {
                                     local.record(client.submit(&request), begun);
@@ -591,16 +587,16 @@ fn drive_pipelined(
     });
 }
 
-/// Blocking baseline driver: a closed-loop OS thread per stream (capped),
-/// each waiting out its RPC before issuing the next.
-fn drive_blocking(
+/// Closed-loop baseline driver: an OS thread per stream (capped), each
+/// waiting out its RPC before issuing the next.
+fn drive_closed_loop(
     streams: usize,
     client: &ClusterClient,
     next: &AtomicU64,
     total: u64,
     tally: &Mutex<SoakTally>,
 ) {
-    let threads = streams.min(SoakConfig::MAX_BLOCKING_THREADS);
+    let threads = streams.min(SoakConfig::MAX_CLOSED_LOOP_THREADS);
     std::thread::scope(|scope| {
         for thread in 0..threads {
             scope.spawn(move || {

@@ -1,17 +1,13 @@
 //! The node daemon: one `apim_serve::Pool` behind a TCP listener.
 //!
-//! The default transport is an `apim-net` event loop: **one** thread
-//! drives every connection through a nonblocking readiness scan, so a
-//! connection carries as many pipelined RPCs as the per-connection
-//! in-flight cap allows. Frames are reassembled in each connection's
-//! receive buffer and parsed in place (no per-frame copy); submits are
-//! dispatched to the pool without waiting, and replies are written back
-//! in completion order — out-of-order responses are the point, the `seq`
-//! correlation id restores the pairing on the client.
-//!
-//! The pre-event-loop thread-per-connection transport is kept as
-//! [`Transport::Blocking`], both as the soak benchmark's baseline and as
-//! a debugging fallback. It serves one RPC at a time per connection.
+//! An `apim-net` event loop serves every connection: **one** thread
+//! drives them all through a nonblocking readiness scan, so a connection
+//! carries as many pipelined RPCs as the per-connection in-flight cap
+//! allows. Frames are reassembled in each connection's receive buffer and
+//! parsed in place (no per-frame copy); submits are dispatched to the
+//! pool without waiting, and replies are written back in completion
+//! order — out-of-order responses are the point, the `seq` correlation id
+//! restores the pairing on the client.
 //!
 //! Protocol violations (bad magic, hostile length prefix, a client
 //! sending server-only kinds) are answered with a structured
@@ -21,28 +17,16 @@
 //! (overload, quota, the per-connection pipeline cap) are answered with
 //! structured errors, so admission control crosses the wire intact.
 
-use crate::wire::{self, Message, RecvError, Reply, WireFraming, WireOutput};
-use apim_net::{Connection, Interest, Poller, TimerWheel, Token};
+use crate::wire::{self, Message, Reply, WireFraming, WireOutput};
+use apim_net::{Connection, Interest, Poller, Token};
 use apim_serve::loadgen::output_digest;
-use apim_serve::{JobHandle, Pool, PoolConfig, Response, ServeError};
+use apim_serve::{JobHandle, Metrics, Pool, PoolConfig, Response, ServeError};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a node moves bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One event-loop thread drives all connections (nonblocking I/O,
-    /// multiplexed and pipelined). The default.
-    #[default]
-    EventLoop,
-    /// One thread per connection over blocking I/O, one RPC at a time.
-    /// The soak benchmark's baseline.
-    Blocking,
-}
 
 /// Configuration of a [`Node`].
 #[derive(Debug, Clone)]
@@ -52,16 +36,10 @@ pub struct NodeConfig {
     pub addr: String,
     /// The serving pool this node wraps.
     pub pool: PoolConfig,
-    /// Which transport serves connections.
-    pub transport: Transport,
     /// Per-connection cap on pipelined in-flight requests; submits beyond
     /// it are answered with [`ServeError::Overloaded`] instead of queued
-    /// without bound. Ignored by [`Transport::Blocking`], which is capped
-    /// at one by construction.
+    /// without bound.
     pub max_inflight_per_conn: usize,
-    /// Close a connection after this long without traffic (event loop
-    /// only). `None` keeps idle connections forever.
-    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for NodeConfig {
@@ -69,9 +47,7 @@ impl Default for NodeConfig {
         NodeConfig {
             addr: "127.0.0.1:0".into(),
             pool: PoolConfig::default(),
-            transport: Transport::EventLoop,
             max_inflight_per_conn: 256,
-            idle_timeout: None,
         }
     }
 }
@@ -79,9 +55,6 @@ impl Default for NodeConfig {
 struct NodeInner {
     pool: Pool,
     stop: AtomicBool,
-    /// Clones of every live connection (blocking transport only), kept so
-    /// shutdown/kill can unblock handler threads parked in blocking reads.
-    conns: Mutex<Vec<TcpStream>>,
 }
 
 /// A running node daemon. Dropping the handle without calling
@@ -89,8 +62,7 @@ struct NodeInner {
 pub struct Node {
     addr: SocketAddr,
     inner: Arc<NodeInner>,
-    accept_thread: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    loop_thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Node {
@@ -100,7 +72,7 @@ impl std::fmt::Debug for Node {
 }
 
 impl Node {
-    /// Binds the listener, spawns the pool and the transport thread(s).
+    /// Binds the listener, spawns the pool and the event-loop thread.
     ///
     /// # Errors
     ///
@@ -115,30 +87,16 @@ impl Node {
         let inner = Arc::new(NodeInner {
             pool,
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
         });
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_inner = Arc::clone(&inner);
-        let accept_handlers = Arc::clone(&handlers);
-        let accept_thread = match config.transport {
-            Transport::EventLoop => {
-                let max_inflight = config.max_inflight_per_conn.max(1);
-                let idle_timeout = config.idle_timeout;
-                std::thread::Builder::new()
-                    .name(format!("apim-node-loop-{addr}"))
-                    .spawn(move || {
-                        event_loop(&listener, &accept_inner, max_inflight, idle_timeout);
-                    })?
-            }
-            Transport::Blocking => std::thread::Builder::new()
-                .name(format!("apim-node-accept-{addr}"))
-                .spawn(move || accept_loop(&listener, &accept_inner, &accept_handlers))?,
-        };
+        let loop_inner = Arc::clone(&inner);
+        let max_inflight = config.max_inflight_per_conn.max(1);
+        let loop_thread = std::thread::Builder::new()
+            .name(format!("apim-node-loop-{addr}"))
+            .spawn(move || event_loop(&listener, &loop_inner, max_inflight))?;
         Ok(Node {
             addr,
             inner,
-            accept_thread: Some(accept_thread),
-            handlers,
+            loop_thread: Some(loop_thread),
         })
     }
 
@@ -152,53 +110,42 @@ impl Node {
         self.inner.pool.metrics()
     }
 
-    /// Graceful stop: finish the pool's backlog, let the transport write
-    /// out pending replies, close connections, join every thread. Clients
-    /// should quiesce first; replies racing the close may be cut off.
+    /// Graceful stop: finish the pool's backlog, let the event loop write
+    /// out pending replies, close connections, join the loop thread.
+    /// Clients should quiesce first; replies racing the close may be cut
+    /// off.
     pub fn shutdown(mut self) {
         self.inner.pool.drain();
-        // The backlog's responses are filled; give the transport a window
+        // The backlog's responses are filled; give the event loop a window
         // to harvest them onto the wire before severing.
         let deadline = Instant::now() + Duration::from_secs(5);
         while self.inner.pool.metrics().inflight_requests.get() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(10));
-        self.stop_threads();
+        self.stop_loop();
     }
 
     /// Abrupt stop for failover testing: connections are severed
     /// immediately, mid-flight RPCs and all. Clients observe transport
     /// errors and must retry elsewhere.
     pub fn kill(mut self) {
-        self.stop_threads();
+        self.stop_loop();
     }
 
-    fn stop_threads(&mut self) {
+    /// Stops the event loop and joins it; the loop drops its connection
+    /// slab on exit, which closes every socket.
+    fn stop_loop(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        for conn in self.inner.conns.lock().expect("conn list").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
-        }
-        let handlers: Vec<_> = self
-            .handlers
-            .lock()
-            .expect("handler list")
-            .drain(..)
-            .collect();
-        for handler in handlers {
-            let _ = handler.join();
+        if let Some(thread) = self.loop_thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for Node {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_threads();
-        }
+        self.stop_loop();
     }
 }
 
@@ -233,7 +180,7 @@ fn rejection(seq: u64, tenant: apim_serve::TenantId, error: ServeError) -> Messa
 }
 
 // ---------------------------------------------------------------------------
-// Event-loop transport
+// Event loop
 // ---------------------------------------------------------------------------
 
 /// Per-connection state the event loop iterates.
@@ -242,61 +189,19 @@ struct ConnState {
     /// Pipelined submits dispatched to the pool and not yet answered on
     /// the wire, as `(seq, handle)` pairs.
     pending: Vec<(u64, JobHandle)>,
-    last_activity: Instant,
 }
 
-/// The resolution of the idle-sweep timer wheel.
-const WHEEL_TICK: Duration = Duration::from_millis(10);
-
-fn event_loop(
-    listener: &TcpListener,
-    inner: &Arc<NodeInner>,
-    max_inflight: usize,
-    idle_timeout: Option<Duration>,
-) {
+fn event_loop(listener: &TcpListener, inner: &Arc<NodeInner>, max_inflight: usize) {
     let framing = WireFraming;
     let metrics = inner.pool.metrics();
     let mut poller = Poller::new();
     let mut events = Vec::new();
-    let mut wheel = TimerWheel::new(WHEEL_TICK);
-    let mut expired: Vec<u64> = Vec::new();
     // Connection slab: the slot index is the poller token.
     let mut slots: Vec<Option<ConnState>> = Vec::new();
     while !inner.stop.load(Ordering::SeqCst) {
         // Accept everything waiting, then fall through to the scan so a
         // connect-then-send burst is served in one iteration.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let Ok(conn) = Connection::new(stream) else {
-                        continue;
-                    };
-                    let token = slots.iter().position(Option::is_none).unwrap_or_else(|| {
-                        slots.push(None);
-                        slots.len() - 1
-                    });
-                    if poller
-                        .register_stream(conn.stream(), Token(token), Interest::READABLE)
-                        .is_err()
-                    {
-                        slots[token] = None;
-                        continue;
-                    }
-                    metrics.connections_open.inc();
-                    let now = Instant::now();
-                    if let Some(idle) = idle_timeout {
-                        wheel.schedule(now, idle, token as u64);
-                    }
-                    slots[token] = Some(ConnState {
-                        conn,
-                        pending: Vec::new(),
-                        last_activity: now,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => return,
-            }
-        }
+        accept_burst(|| listener.accept(), &mut slots, &mut poller, metrics);
         // Readiness scan. With replies pending the timeout stays short so
         // completions reach the wire quickly; an idle node naps longer.
         let busy = slots
@@ -316,9 +221,7 @@ fn event_loop(
             if !event.readable {
                 continue;
             }
-            if state.conn.fill().is_ok() {
-                state.last_activity = Instant::now();
-            }
+            let _ = state.conn.fill();
             drain_frames(state, inner, max_inflight, &framing);
         }
         // Harvest completions: any pipelined submit whose response is
@@ -339,27 +242,6 @@ fn event_loop(
             }
             if state.conn.wants_write() && !state.conn.is_closed() {
                 let _ = state.conn.flush();
-            }
-        }
-        // Idle sweep.
-        expired.clear();
-        wheel.poll(Instant::now(), &mut expired);
-        for &payload in &expired {
-            let token = payload as usize;
-            let Some(idle) = idle_timeout else { continue };
-            let Some(state) = slots.get_mut(token).and_then(Option::as_mut) else {
-                continue;
-            };
-            let quiet = state.last_activity.elapsed();
-            if quiet >= idle && state.pending.is_empty() {
-                state.conn.close();
-            } else {
-                // Active (or mid-request): re-arm for the remaining window.
-                wheel.schedule(
-                    Instant::now(),
-                    idle.saturating_sub(quiet).max(WHEEL_TICK),
-                    payload,
-                );
             }
         }
         // Reap severed connections; their in-flight work is abandoned
@@ -395,6 +277,40 @@ fn event_loop(
     }
 }
 
+/// Registers every connection `accept` yields into the slab. Any error
+/// ends this tick's burst, and only the burst: `WouldBlock` means the
+/// backlog is empty, and anything else (`EMFILE` under fd pressure, a
+/// connection aborted before it was accepted) must not take down the
+/// node's one transport thread and every live connection with it — the
+/// next tick simply tries again.
+fn accept_burst(
+    mut accept: impl FnMut() -> io::Result<(TcpStream, SocketAddr)>,
+    slots: &mut Vec<Option<ConnState>>,
+    poller: &mut Poller,
+    metrics: &Metrics,
+) {
+    while let Ok((stream, _peer)) = accept() {
+        let Ok(conn) = Connection::new(stream) else {
+            continue;
+        };
+        let token = slots.iter().position(Option::is_none).unwrap_or_else(|| {
+            slots.push(None);
+            slots.len() - 1
+        });
+        if poller
+            .register_stream(conn.stream(), Token(token), Interest::READABLE)
+            .is_err()
+        {
+            continue;
+        }
+        metrics.connections_open.inc();
+        slots[token] = Some(ConnState {
+            conn,
+            pending: Vec::new(),
+        });
+    }
+}
+
 /// Pulls every complete frame out of the connection's receive buffer and
 /// handles it. A framing error answers with [`Message::ProtocolError`]
 /// and closes.
@@ -419,7 +335,6 @@ fn drain_frames(
                 return;
             }
         };
-        state.last_activity = Instant::now();
         handle_message(state, inner, max_inflight, message);
         if state.conn.is_closed() {
             return;
@@ -500,104 +415,43 @@ fn handle_message(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Blocking (thread-per-connection) transport — the soak baseline
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<NodeInner>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nodelay(true);
-                if let Ok(clone) = stream.try_clone() {
-                    inner.conns.lock().expect("conn list").push(clone);
-                }
-                let conn_inner = Arc::clone(inner);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("apim-node-conn-{peer}"))
-                    .spawn(move || {
-                        conn_inner.pool.metrics().connections_open.inc();
-                        handle_connection(stream, &conn_inner);
-                        conn_inner.pool.metrics().connections_open.dec();
-                    });
-                if let Ok(handle) = spawned {
-                    handlers.lock().expect("handler list").push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, inner: &Arc<NodeInner>) {
-    loop {
-        let message = match wire::read_message(&mut stream) {
-            Ok(message) => message,
-            // Protocol violation: say why before hanging up. The decoder
-            // guarantees malformed bytes land here as structured errors
-            // rather than panics (a hostile length prefix included).
-            Err(RecvError::Wire(e)) => {
-                let _ = wire::write_message(
-                    &mut stream,
-                    &Message::ProtocolError {
-                        detail: e.to_string(),
-                    },
-                );
-                return;
-            }
-            Err(RecvError::Io(_)) => return,
+    #[test]
+    fn an_accept_error_ends_only_the_burst() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let _clients: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        // The backlog as the event loop would see it on two ticks: one
+        // connection, a hard error (EMFILE), then another connection.
+        let mut backlog = vec![
+            listener.accept(),
+            Err(io::Error::from_raw_os_error(24)),
+            listener.accept(),
+        ]
+        .into_iter();
+        let mut next = || {
+            backlog
+                .next()
+                .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
         };
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let metrics = inner.pool.metrics();
-        let answer = match message {
-            Message::Submit { seq, request } => {
-                let tenant = request.tenant;
-                match inner.pool.submit(request) {
-                    Ok(handle) => {
-                        metrics.inflight_requests.inc();
-                        let response = handle.wait();
-                        metrics.inflight_requests.dec();
-                        Message::Reply {
-                            seq,
-                            reply: reply_of(&response),
-                        }
-                    }
-                    Err(error) => rejection(seq, tenant, error),
-                }
-            }
-            Message::Ping { nonce } => Message::Pong {
-                nonce,
-                workers: u32::try_from(inner.pool.config().workers).unwrap_or(u32::MAX),
-                queue_depth: inner.pool.queue_depth() as u64,
-            },
-            Message::MetricsPull { seq } => Message::Metrics {
-                seq,
-                snapshot: Box::new(inner.pool.metrics().snapshot()),
-            },
-            // Clients never send server-only kinds; a peer that does is
-            // broken, and the connection closes with a structured goodbye.
-            Message::Reply { .. } | Message::Pong { .. } | Message::Metrics { .. } => {
-                let _ = wire::write_message(
-                    &mut stream,
-                    &Message::ProtocolError {
-                        detail: "client sent a server-only message kind".into(),
-                    },
-                );
-                return;
-            }
-            Message::ProtocolError { .. } => return,
-        };
-        if wire::write_message(&mut stream, &answer).is_err() {
-            return;
-        }
+        let (mut slots, mut poller, metrics) = (Vec::new(), Poller::new(), Metrics::default());
+        accept_burst(&mut next, &mut slots, &mut poller, &metrics);
+        assert_eq!(
+            slots.iter().flatten().count(),
+            1,
+            "burst stops at the error"
+        );
+        accept_burst(&mut next, &mut slots, &mut poller, &metrics);
+        assert_eq!(
+            slots.iter().flatten().count(),
+            2,
+            "the next tick accepts again"
+        );
+        assert_eq!(metrics.connections_open.get(), 2);
     }
 }

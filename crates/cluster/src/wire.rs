@@ -115,8 +115,8 @@ impl From<CodecError> for WireError {
 /// assertions) plus a human-readable summary line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireOutput {
-    /// `apim_serve::loadgen::output_digest` of the node-side [`JobOutput`]
-    /// (`apim_serve::JobOutput`) — equal iff the results are bit-identical.
+    /// `apim_serve::loadgen::output_digest` of the node-side
+    /// [`JobOutput`](apim_serve::JobOutput) — equal iff the results are bit-identical.
     pub digest: u64,
     /// One-line rendering of the result.
     pub summary: String,

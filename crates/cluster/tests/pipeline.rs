@@ -1,12 +1,13 @@
 //! Integration tests for the event-loop node transport: request
 //! pipelining, structured protocol-error handling, the per-connection
-//! backpressure cap, and the sustained soak driver on both transports.
+//! backpressure cap, severing on kill, and the sustained soak with both
+//! drivers (pipelined window and closed-loop baseline).
 
 use apim_cluster::loadgen::{soak, SoakConfig};
 use apim_cluster::node::{Node, NodeConfig};
 use apim_cluster::wire::{self, Message};
 use apim_serve::{JobKind, PoolConfig, Request, ServeError, TenantId};
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -28,6 +29,18 @@ fn connect(node: &Node) -> TcpStream {
     conn.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
     conn
+}
+
+/// Reads the node's structured goodbye, checks the connection closes
+/// after it, and returns the error detail.
+fn expect_goodbye(conn: &mut TcpStream) -> String {
+    let detail = match wire::read_message(conn).expect("structured goodbye") {
+        Message::ProtocolError { detail } => detail,
+        other => panic!("expected ProtocolError, got {other:?}"),
+    };
+    // And the connection is closed — no further service on a broken peer.
+    assert!(wire::read_message(conn).is_err());
+    detail
 }
 
 #[test]
@@ -74,17 +87,11 @@ fn hostile_length_prefix_gets_a_structured_protocol_error() {
     evil.extend_from_slice(&[0, 0]);
     evil.extend_from_slice(&u32::MAX.to_le_bytes());
     conn.write_all(&evil).expect("write hostile frame");
-    match wire::read_message(&mut conn).expect("structured goodbye") {
-        Message::ProtocolError { detail } => {
-            assert!(
-                detail.contains("exceeds"),
-                "detail names the length violation: {detail}"
-            );
-        }
-        other => panic!("expected ProtocolError, got {other:?}"),
-    }
-    // And the connection is closed — no further service on a broken peer.
-    assert!(wire::read_message(&mut conn).is_err());
+    let detail = expect_goodbye(&mut conn);
+    assert!(
+        detail.contains("exceeds"),
+        "detail names the length violation: {detail}"
+    );
     node.shutdown();
 }
 
@@ -93,14 +100,58 @@ fn garbage_magic_gets_a_structured_protocol_error() {
     let node = echo_node(1, 64);
     let mut conn = connect(&node);
     conn.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write");
-    match wire::read_message(&mut conn).expect("structured goodbye") {
-        Message::ProtocolError { detail } => {
-            assert!(!detail.is_empty(), "detail is populated");
-        }
-        other => panic!("expected ProtocolError, got {other:?}"),
-    }
-    assert!(wire::read_message(&mut conn).is_err());
+    assert!(!expect_goodbye(&mut conn).is_empty(), "detail is populated");
     node.shutdown();
+}
+
+#[test]
+fn server_only_message_kind_gets_a_structured_protocol_error() {
+    let node = echo_node(1, 64);
+    let mut conn = connect(&node);
+    // A well-formed frame of a kind only a node may send.
+    wire::write_message(
+        &mut conn,
+        &Message::Pong {
+            nonce: 7,
+            workers: 1,
+            queue_depth: 0,
+        },
+    )
+    .expect("write pong");
+    let detail = expect_goodbye(&mut conn);
+    assert!(
+        detail.contains("server-only"),
+        "detail names the kind: {detail}"
+    );
+    node.shutdown();
+}
+
+#[test]
+fn kill_severs_an_idle_raw_connection() {
+    let node = echo_node(1, 64);
+    let mut conn = connect(&node);
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    // One round trip proves the node accepted the connection into its
+    // event loop before the kill.
+    wire::write_message(&mut conn, &Message::Ping { nonce: 1 }).expect("ping");
+    assert!(matches!(
+        wire::read_message(&mut conn).expect("pong"),
+        Message::Pong { nonce: 1, .. }
+    ));
+    node.kill();
+    let mut buf = [0u8; 16];
+    match conn.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("{n} unexpected bytes after kill"),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+            ),
+            "expected EOF or a reset within the read timeout, got {e}"
+        ),
+    }
 }
 
 #[test]
@@ -171,7 +222,7 @@ fn short_soak_loses_nothing_and_transports_are_bit_identical() {
     .expect("pipelined soak");
     assert!(pipelined.passed(), "pipelined soak gate:\n{pipelined}");
 
-    let blocking = soak(&SoakConfig {
+    let closed_loop = soak(&SoakConfig {
         requests: 600,
         streams: 16,
         nodes: 2,
@@ -179,11 +230,14 @@ fn short_soak_loses_nothing_and_transports_are_bit_identical() {
         pipelined: false,
         driver_threads: 2,
     })
-    .expect("blocking soak");
-    assert!(blocking.passed(), "blocking soak gate:\n{blocking}");
+    .expect("closed-loop soak");
+    assert!(
+        closed_loop.passed(),
+        "closed-loop soak gate:\n{closed_loop}"
+    );
 
-    // Same request set, either transport: bit-identical result digests.
-    assert_eq!(pipelined.checksum, blocking.checksum);
+    // Same request set, either driver: bit-identical result digests.
+    assert_eq!(pipelined.checksum, closed_loop.checksum);
 
     // The new gauges surface through the fleet snapshot in the report.
     let text = pipelined.to_string();

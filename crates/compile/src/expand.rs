@@ -3,7 +3,7 @@
 //! The `apim-math` kernels are written once, generically over the
 //! [`FxOps`] op-builder trait. Instantiated with `apim_math::IntEval`
 //! they are the pure-integer reference semantics; instantiated with the
-//! [`DagFx`] builder here they emit `Add`/`Sub`/`Mul`/`Shl`/`Shr`/`Const`
+//! `DagFx` builder here they emit `Add`/`Sub`/`Mul`/`Shl`/`Shr`/`Const`
 //! nodes into a [`Dag`]. Because both instantiations run the *same*
 //! generic kernel body over the *same* `width`-bit two's-complement op
 //! semantics, the expansion is bit-identical to the reference by

@@ -27,7 +27,7 @@
 //! trigonometric constants are hard-coded Q45 integers
 //! ([`consts::ATAN_Q45`]) and LUT tables are produced by the integer
 //! CORDIC/isqrt themselves, so compiled programs are free of host
-//! floating point end to end. `f64` exists only in [`reference`], the
+//! floating point end to end. `f64` exists only in [`reference`](mod@reference), the
 //! ground-truth oracle used by tests, benchmarks and the quality harness.
 
 #![deny(missing_docs)]

@@ -1,10 +1,9 @@
 //! # apim-net — poll-based event-loop I/O core
 //!
-//! The cluster tier originally ran a thread per connection over blocking
-//! TCP: fine for a smoke test, a ceiling for heavy traffic. This crate is
-//! the std-only replacement: a small, mio-style readiness layer over
-//! nonblocking sockets that lets **one** thread drive thousands of
-//! concurrent streams.
+//! A thread per connection over blocking TCP is fine for a smoke test and
+//! a ceiling for heavy traffic. This crate is the cluster tier's std-only
+//! alternative: a small, mio-style readiness layer over nonblocking
+//! sockets that lets **one** thread drive thousands of concurrent streams.
 //!
 //! * [`poll`] — token/interest registration and a readiness scan
 //!   ([`Poller`]). With `unsafe` forbidden workspace-wide there is no
@@ -13,8 +12,6 @@
 //!   nothing is ready — the *interface* is an event loop's, the syscall
 //!   budget is one cheap probe per idle source per tick, and under load
 //!   the loop never sleeps at all.
-//! * [`timer`] — a hashed [`TimerWheel`] for deadlines, idle sweeps and
-//!   backoff: O(1) schedule/cancel, expiry by walking the wheel.
 //! * [`buffer`] — [`RecvBuffer`]/[`SendBuffer`]: per-connection byte
 //!   buffers. Reads land directly in the receive buffer's tail and
 //!   complete frames are handed out as **borrowed slices** of it — the
@@ -38,10 +35,8 @@ pub mod buffer;
 pub mod conn;
 pub mod frame;
 pub mod poll;
-pub mod timer;
 
 pub use buffer::{RecvBuffer, SendBuffer};
 pub use conn::Connection;
 pub use frame::{FrameError, Framing};
 pub use poll::{Event, Interest, Poller, Token};
-pub use timer::{TimerId, TimerWheel};

@@ -3,7 +3,8 @@
 //! ([`apim_compile::parse_program`]). Whatever text arrives — arbitrary
 //! bytes, or a valid input with a token dropped, duplicated, swapped or a
 //! number replaced by a huge or negative one — each parser returns `Ok`
-//! or a structured error and never panics.
+//! or a structured error and never panics. A mutated program that parses
+//! also renders to a parser fixed point: `parse(render(p)).dag == p.dag`.
 
 use apim_serve::Request;
 use proptest::prelude::*;
@@ -104,7 +105,13 @@ proptest! {
 
     #[test]
     fn mutated_programs_parse_or_error(sel in 0usize..PROGRAMS.len(), op in 0u8..5, i in 0usize..64, j in 0usize..64, big: u64) {
-        let _ = apim_compile::parse_program(&mutate(PROGRAMS[sel], op, i, j, big));
+        // Every mutant that parses renders to a parser fixed point.
+        if let Ok(program) = apim_compile::parse_program(&mutate(PROGRAMS[sel], op, i, j, big)) {
+            let text = apim_compile::render_program(&program);
+            let reparsed = apim_compile::parse_program(&text);
+            prop_assert!(reparsed.is_ok(), "rendered form does not parse: {reparsed:?}\n{text}");
+            prop_assert_eq!(reparsed.unwrap().dag, program.dag, "render ∘ parse moved the DAG:\n{}", text);
+        }
     }
 
     #[test]
